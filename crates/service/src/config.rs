@@ -39,9 +39,10 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Requests per ingestion batch.
     pub batch: usize,
-    /// Record one [`OutcomeRecord`](crate::OutcomeRecord) per request.
-    /// Verification and the golden digests need the log; a pure throughput
-    /// measurement can turn it off.
+    /// Fold every request's outcome into its shard's
+    /// [`OutcomeDigest`](crate::OutcomeDigest).  Off, the report's outcome
+    /// digests read 0 and the bit-identity checks lose their strongest
+    /// witness; a pure throughput measurement may turn it off.
     pub record_outcomes: bool,
     /// An armed fault-injection schedule, or `None` (the default) for a
     /// fault-free run.  See [`FaultPlan`].

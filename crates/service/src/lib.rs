@@ -16,9 +16,10 @@
 //! * exposes a snapshot-consistent, mergeable [`ServiceStats`] built from
 //!   the same `Counter::merge` / `DirectoryStats::merge` machinery as the
 //!   simulation engine;
-//! * keeps a sequence-numbered [`OutcomeRecord`] log, so **any worker
-//!   count over a fixed shard count is verifiably bit-identical** to the
-//!   inline serial reference ([`DirectoryService::run_serial`]).
+//! * folds every outcome, as it is produced, into a running per-shard
+//!   [`OutcomeDigest`] that carries the request's sequence number, so **any
+//!   worker count over a fixed shard count is verifiably bit-identical** to
+//!   the inline serial reference ([`DirectoryService::run_serial`]).
 //!
 //! Traffic comes from the [`LoadSpec`] frontend: any workload the
 //! `ccd-workloads` catalog can name — paper profile, sharing-pattern
@@ -78,6 +79,6 @@ pub use config::{ServiceConfig, DEFAULT_BATCH, DEFAULT_QUEUE_DEPTH};
 pub use error::ServiceError;
 pub use fault::{CrashPoint, FaultPlan, StallPoint};
 pub use load::{op_for, LoadSpec, OpStream};
-pub use request::{digest_outcome_semantics, digest_outcomes, OutcomeRecord, Request};
+pub use request::{OutcomeDigest, Request};
 pub use resize::{ResizeMode, ResizePolicy};
 pub use service::{DirectoryService, ObsReport, ServiceReport, ServiceStats};

@@ -1,7 +1,6 @@
-//! The service's wire types: sequence-numbered requests and the compact
-//! outcome log used to verify bit-identity against serial application.
+//! The service's wire types: sequence-numbered requests and the per-shard
+//! outcome digests used to verify bit-identity against serial application.
 
-use ccd_common::stats::Fnv64;
 use ccd_directory::{DirectoryOp, Outcome};
 
 /// One coherence request in flight inside the service.
@@ -20,213 +19,308 @@ pub struct Request {
     pub op: DirectoryOp,
 }
 
-/// Everything one applied request observably did, in 48 bytes.
+/// Running digests of everything the requests applied to one shard
+/// observably did, in the shard's input order.
 ///
-/// A record captures the full observable content of the [`Outcome`] buffer:
-/// the scalar flags and counts verbatim, and the variable-length parts
-/// (semantic invalidation targets, forced-eviction victims and their
-/// targets) folded into [`OutcomeRecord::detail`] with FNV-1a.  Two outcome
-/// streams are therefore equal **iff** every operation produced the same
-/// hits, allocations, attempt counts, invalidation sets and eviction sets —
-/// which is exactly the service's bit-identity contract against serial
-/// application.
+/// Two 64-bit chains absorb every outcome the moment it is produced:
+///
+/// * the **semantic** chain: the request's sequence number, its five flags
+///   and counts, its semantic invalidation targets, and each forced
+///   eviction's victim line (shard-local), target count and targets;
+/// * the **attempts** chain: the insertion-attempt count alone.
+///
+/// Each word enters through `(h.rotate_left(23) ^ w) · K` with `K` odd:
+/// for a fixed state the step is injective in the word, and for a fixed
+/// word it is a bijection of the state, so two outcome streams that differ
+/// in a single word always leave different digests.  Because a shard sees
+/// exactly its own input-order subsequence at any worker count (and under
+/// journal replay), its chains are worker-count invariant; because they
+/// carry the sequence number, they pin what a sequence-ordered log of the
+/// same outcomes would.
+///
+/// Attempt counts describe how hard the directory worked, not what it
+/// decided: a statically large table and a table that grew to the same
+/// geometry mid-stream reach the same hits, invalidations and evictions
+/// through different displacement chains.  Keeping attempts on their own
+/// chain lets [`OutcomeDigest::semantic`] mask them for live-resize
+/// equivalence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OutcomeRecord {
-    /// Sequence number of the request that produced this outcome.
-    pub seq: u64,
-    /// Global index of the shard that applied it.
-    pub shard: u32,
-    /// Insertion attempts performed (0 when nothing was allocated).
-    pub attempts: u32,
-    /// Semantic invalidation targets (other sharers on an exclusive
-    /// request, holders on an entry removal).
-    pub invalidations: u32,
-    /// Directory entries displaced to make room.
-    pub forced_evictions: u32,
-    /// Cached blocks invalidated by those displacements.
-    pub forced_invalidations: u32,
-    /// [`Outcome::hit`].
-    pub hit: bool,
-    /// [`Outcome::allocated_new_entry`].
-    pub allocated: bool,
-    /// [`Outcome::insertion_failed`].
-    pub failed: bool,
-    /// [`Outcome::invalidated_all`].
-    pub invalidated_all: bool,
-    /// [`Outcome::removed_entry`].
-    pub removed_entry: bool,
-    /// FNV-1a fold of the variable-length outcome content: the semantic
-    /// invalidation targets in order, then each forced eviction's (global)
-    /// victim line and its invalidation targets.
-    pub detail: u64,
+pub struct OutcomeDigest {
+    semantic: u64,
+    attempts: u64,
 }
 
-impl OutcomeRecord {
-    /// Captures the outcome buffer of one applied request.  `shard` is the
-    /// global shard index; eviction victim lines inside `out` are expected
-    /// to be in that shard's local address space and are folded as such
-    /// (both sides of the bit-identity comparison capture the same way).
+impl OutcomeDigest {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    /// The digest of an empty stream.
     #[must_use]
-    pub fn capture(seq: u64, shard: u32, out: &Outcome) -> Self {
-        let mut detail = Fnv64::new();
+    pub const fn new() -> Self {
+        OutcomeDigest {
+            semantic: Self::SEED,
+            attempts: Self::SEED,
+        }
+    }
+
+    #[inline]
+    fn step(h: u64, word: u64) -> u64 {
+        (h.rotate_left(23) ^ word).wrapping_mul(Self::K)
+    }
+
+    /// Folds the outcome of request `seq` into the chains.  Eviction victim
+    /// lines are folded as `out` holds them (shard-local on every path).
+    #[inline]
+    pub fn absorb(&mut self, seq: u64, out: &Outcome) {
+        let flags = u64::from(out.hit())
+            | u64::from(out.allocated_new_entry()) << 1
+            | u64::from(out.insertion_failed()) << 2
+            | u64::from(out.invalidated_all()) << 3
+            | u64::from(out.removed_entry()) << 4;
+        // Invalidation targets are distinct 32-bit cache ids, and one
+        // request displaces at most a handful of entries, so the packing
+        // is exact.
+        let counts = flags
+            | (out.forced_eviction_count() as u64) << 8
+            | (out.invalidate().len() as u64) << 32;
+        let mut h = Self::step(Self::step(self.semantic, seq), counts);
         for cache in out.invalidate() {
-            detail.fold(u64::from(cache.raw()));
+            h = Self::step(h, u64::from(cache.raw()));
         }
         for eviction in out.forced_evictions() {
-            detail.fold(eviction.line.block_number());
+            h = Self::step(h, eviction.line.block_number());
+            h = Self::step(h, eviction.targets.len() as u64);
             for cache in eviction.targets {
-                detail.fold(u64::from(cache.raw()));
+                h = Self::step(h, u64::from(cache.raw()));
             }
         }
-        OutcomeRecord {
-            seq,
-            shard,
-            attempts: out.insertion_attempts(),
-            invalidations: out.invalidate().len() as u32,
-            forced_evictions: out.forced_eviction_count() as u32,
-            forced_invalidations: out.forced_invalidation_count() as u32,
-            hit: out.hit(),
-            allocated: out.allocated_new_entry(),
-            failed: out.insertion_failed(),
-            invalidated_all: out.invalidated_all(),
-            removed_entry: out.removed_entry(),
-            detail: detail.finish(),
-        }
+        self.semantic = h;
+        self.attempts = Self::step(self.attempts, u64::from(out.insertion_attempts()));
     }
 
-    /// Folds this record into a running FNV-1a digest (see
-    /// [`digest_outcomes`]).
-    pub fn fold(&self, digest: &mut Fnv64) {
-        digest
-            .fold(self.seq)
-            .fold(u64::from(self.shard))
-            .fold(u64::from(self.attempts))
-            .fold(u64::from(self.invalidations))
-            .fold(u64::from(self.forced_evictions))
-            .fold(u64::from(self.forced_invalidations));
-        let flags = u64::from(self.hit)
-            | u64::from(self.allocated) << 1
-            | u64::from(self.failed) << 2
-            | u64::from(self.invalidated_all) << 3
-            | u64::from(self.removed_entry) << 4;
-        digest.fold(flags).fold(self.detail);
+    /// Folds another shard's chains into this one, chain by chain.  Not
+    /// commutative: merge shards in a fixed (global shard) order.
+    pub fn merge(&mut self, other: &OutcomeDigest) {
+        self.semantic = Self::step(self.semantic, other.semantic);
+        self.attempts = Self::step(self.attempts, other.attempts);
     }
 
-    /// Folds the record's *semantic* view — everything except
-    /// [`OutcomeRecord::attempts`] — into a running digest (see
-    /// [`digest_outcome_semantics`]).
-    ///
-    /// Attempt counts describe how hard the directory worked, not what it
-    /// decided: a statically large table and a table that grew to the same
-    /// geometry mid-stream hold the same entries and produce the same hits,
-    /// invalidations and evictions, but reach them through different
-    /// displacement chains.  This view is what live-resize equivalence is
-    /// checked against.
-    pub fn fold_semantic(&self, digest: &mut Fnv64) {
-        digest
-            .fold(self.seq)
-            .fold(u64::from(self.shard))
-            .fold(u64::from(self.invalidations))
-            .fold(u64::from(self.forced_evictions))
-            .fold(u64::from(self.forced_invalidations));
-        let flags = u64::from(self.hit)
-            | u64::from(self.allocated) << 1
-            | u64::from(self.failed) << 2
-            | u64::from(self.invalidated_all) << 3
-            | u64::from(self.removed_entry) << 4;
-        digest.fold(flags).fold(self.detail);
+    /// The full digest: both chains.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        Self::step(self.semantic, self.attempts)
+    }
+
+    /// The semantic chain alone — [`OutcomeDigest::finish`] with every
+    /// attempt count masked out.
+    #[must_use]
+    pub fn semantic(&self) -> u64 {
+        self.semantic
     }
 }
 
-/// FNV-1a digest of an outcome log in sequence order.
-///
-/// Two configurations of the service (any worker count over the same shard
-/// count) produce the same digest iff their merged outcome logs are
-/// identical record-for-record; `BENCH_service.json` records the digest so
-/// the golden check pins it.
-#[must_use]
-pub fn digest_outcomes(records: &[OutcomeRecord]) -> u64 {
-    let mut digest = Fnv64::new();
-    for record in records {
-        record.fold(&mut digest);
+impl Default for OutcomeDigest {
+    fn default() -> Self {
+        OutcomeDigest::new()
     }
-    digest.finish()
-}
-
-/// FNV-1a digest of an outcome log's semantic view in sequence order:
-/// [`digest_outcomes`] with every record's attempt count masked out (see
-/// [`OutcomeRecord::fold_semantic`]).
-#[must_use]
-pub fn digest_outcome_semantics(records: &[OutcomeRecord]) -> u64 {
-    let mut digest = Fnv64::new();
-    for record in records {
-        record.fold_semantic(&mut digest);
-    }
-    digest.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccd_common::{CacheId, LineAddr};
+    use ccd_sharers::{FullBitVector, SharerSet};
 
-    fn sample_outcome() -> Outcome {
-        let mut out = Outcome::new();
-        out.set_hit(true);
-        out.record_allocation(3);
-        out.push_invalidate(CacheId::new(2));
-        out.push_forced_eviction_one(LineAddr::from_block_number(9), CacheId::new(1));
-        out
+    /// Every observable field of one request's outcome, as plain data, so
+    /// a test can edit exactly one of them.
+    #[derive(Clone, Debug)]
+    struct Fields {
+        seq: u64,
+        hit: bool,
+        allocated: bool,
+        attempts: u32,
+        failed: bool,
+        invalidated_all: bool,
+        removed_entry: bool,
+        invalidate: Vec<u32>,
+        /// Victim line and its (ascending) invalidation targets.
+        evictions: Vec<(u64, Vec<u32>)>,
+    }
+
+    impl Fields {
+        fn sample() -> Self {
+            Fields {
+                seq: 17,
+                hit: false,
+                allocated: true,
+                attempts: 3,
+                failed: false,
+                invalidated_all: false,
+                removed_entry: false,
+                invalidate: vec![2, 5],
+                evictions: vec![(9, vec![1, 3]), (11, vec![4])],
+            }
+        }
+
+        fn edited(&self, edit: impl FnOnce(&mut Fields)) -> Fields {
+            let mut fields = self.clone();
+            edit(&mut fields);
+            fields
+        }
+
+        fn outcome(&self) -> Outcome {
+            let mut out = Outcome::new();
+            out.set_hit(self.hit);
+            if self.allocated {
+                out.record_allocation(self.attempts);
+            }
+            assert!(self.allocated || self.attempts == 0, "no setter for that");
+            if self.failed {
+                out.record_insertion_failure();
+            }
+            if self.invalidated_all {
+                out.record_invalidate_all();
+            }
+            if self.removed_entry {
+                out.record_removed_entry();
+            }
+            for &cache in &self.invalidate {
+                out.push_invalidate(CacheId::new(cache));
+            }
+            for (line, targets) in &self.evictions {
+                let mut sharers = FullBitVector::new(8);
+                for &cache in targets {
+                    sharers.add(CacheId::new(cache));
+                }
+                out.push_forced_eviction(LineAddr::from_block_number(*line), &sharers);
+            }
+            out
+        }
+
+        fn digest(&self) -> OutcomeDigest {
+            let mut digest = OutcomeDigest::new();
+            digest.absorb(self.seq, &self.outcome());
+            digest
+        }
     }
 
     #[test]
-    fn capture_reflects_the_outcome_buffer() {
-        let record = OutcomeRecord::capture(17, 4, &sample_outcome());
-        assert_eq!(record.seq, 17);
-        assert_eq!(record.shard, 4);
-        assert_eq!(record.attempts, 3);
-        assert_eq!(record.invalidations, 1);
-        assert_eq!(record.forced_evictions, 1);
-        assert_eq!(record.forced_invalidations, 1);
-        assert!(record.hit && record.allocated);
-        assert!(!record.failed && !record.invalidated_all && !record.removed_entry);
+    fn the_fields_round_trip_through_an_outcome() {
+        let fields = Fields::sample();
+        let out = fields.outcome();
+        assert_eq!(out.insertion_attempts(), 3);
+        assert_eq!(out.invalidate().len(), 2);
+        assert_eq!(out.forced_eviction_count(), 2);
+        assert_eq!(out.forced_invalidation_count(), 3);
+        let evictions: Vec<_> = out.forced_evictions().collect();
+        assert_eq!(evictions[0].targets, [CacheId::new(1), CacheId::new(3)]);
+        assert_eq!(evictions[1].line, LineAddr::from_block_number(11));
     }
 
     #[test]
-    fn detail_hash_distinguishes_variable_content() {
-        let base = OutcomeRecord::capture(0, 0, &sample_outcome());
-        let mut other = sample_outcome();
-        other.push_invalidate(CacheId::new(3));
-        let changed = OutcomeRecord::capture(0, 0, &other);
-        assert_ne!(base.detail, changed.detail);
-    }
+    fn every_single_field_change_moves_the_digest() {
+        let base = Fields::sample();
+        // `allocated` cannot be cleared while attempts are nonzero, so its
+        // flip starts from an unallocated outcome.
+        let unallocated = base.edited(|f| (f.allocated, f.attempts) = (false, 0));
+        let semantic_cases = [
+            ("seq", base.clone(), base.edited(|f| f.seq += 1)),
+            ("hit", base.clone(), base.edited(|f| f.hit = true)),
+            (
+                "allocated",
+                unallocated.clone(),
+                unallocated.edited(|f| f.allocated = true),
+            ),
+            ("failed", base.clone(), base.edited(|f| f.failed = true)),
+            (
+                "invalidated_all",
+                base.clone(),
+                base.edited(|f| f.invalidated_all = true),
+            ),
+            (
+                "removed_entry",
+                base.clone(),
+                base.edited(|f| f.removed_entry = true),
+            ),
+            (
+                "invalidation count",
+                base.clone(),
+                base.edited(|f| f.invalidate.push(6)),
+            ),
+            (
+                "forced-eviction count",
+                base.clone(),
+                base.edited(|f| f.evictions.push((13, vec![0]))),
+            ),
+            (
+                "forced-invalidation count",
+                base.clone(),
+                base.edited(|f| f.evictions[0].1.push(6)),
+            ),
+            (
+                "invalidation target",
+                base.clone(),
+                base.edited(|f| f.invalidate[1] = 6),
+            ),
+            (
+                "eviction victim line",
+                base.clone(),
+                base.edited(|f| f.evictions[1].0 = 12),
+            ),
+            (
+                "eviction target",
+                base.clone(),
+                base.edited(|f| f.evictions[1].1[0] = 6),
+            ),
+        ];
+        for (field, before, after) in &semantic_cases {
+            let (before, after) = (before.digest(), after.digest());
+            assert_ne!(before.finish(), after.finish(), "{field}");
+            assert_ne!(before.semantic(), after.semantic(), "{field}");
+        }
 
-    #[test]
-    fn semantic_digest_masks_attempts_and_nothing_else() {
-        let base = OutcomeRecord::capture(0, 0, &sample_outcome());
-        let mut cheaper = base;
-        cheaper.attempts = 1;
-        assert_ne!(digest_outcomes(&[base]), digest_outcomes(&[cheaper]));
+        let cheaper = base.edited(|f| f.attempts = 1);
+        assert_ne!(base.digest().finish(), cheaper.digest().finish());
         assert_eq!(
-            digest_outcome_semantics(&[base]),
-            digest_outcome_semantics(&[cheaper]),
+            base.digest().semantic(),
+            cheaper.digest().semantic(),
             "attempt counts must not enter the semantic view"
         );
-        let mut other = base;
-        other.invalidations += 1;
-        assert_ne!(
-            digest_outcome_semantics(&[base]),
-            digest_outcome_semantics(&[other]),
-            "every other field still must"
-        );
     }
 
     #[test]
-    fn digest_is_order_and_content_sensitive() {
-        let a = OutcomeRecord::capture(0, 0, &sample_outcome());
-        let b = OutcomeRecord::capture(1, 1, &sample_outcome());
-        assert_ne!(digest_outcomes(&[a, b]), digest_outcomes(&[b, a]));
-        assert_eq!(digest_outcomes(&[a, b]), digest_outcomes(&[a, b]));
-        assert_ne!(digest_outcomes(&[a]), digest_outcomes(&[a, b]));
+    fn digests_are_order_and_shard_sensitive() {
+        let a = Fields::sample().outcome();
+        let b = Fields::sample()
+            .edited(|f| (f.hit, f.invalidate) = (true, vec![7]))
+            .outcome();
+        let chain = |stream: &[(u64, &Outcome)]| {
+            let mut digest = OutcomeDigest::new();
+            for &(seq, out) in stream {
+                digest.absorb(seq, out);
+            }
+            digest.finish()
+        };
+        let in_order = chain(&[(0, &a), (1, &b)]);
+        assert_eq!(in_order, chain(&[(0, &a), (1, &b)]), "deterministic");
+        assert_ne!(in_order, chain(&[(1, &b), (0, &a)]), "requests swapped");
+        assert_ne!(in_order, chain(&[(0, &b), (1, &a)]), "outcomes swapped");
+        assert_ne!(in_order, chain(&[(0, &a)]), "a request dropped");
+
+        // The same outcome on shard 0 or shard 1 of two.
+        let mut touched = OutcomeDigest::new();
+        touched.absorb(0, &a);
+        let merged = |shards: [&OutcomeDigest; 2]| {
+            let mut digest = OutcomeDigest::new();
+            for shard in shards {
+                digest.merge(shard);
+            }
+            digest
+        };
+        let empty = OutcomeDigest::new();
+        let on_first = merged([&touched, &empty]);
+        let on_second = merged([&empty, &touched]);
+        assert_ne!(on_first.finish(), on_second.finish());
+        assert_ne!(on_first.semantic(), on_second.semantic());
     }
 }

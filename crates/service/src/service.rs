@@ -33,11 +33,13 @@
 //! 2. each worker's channel is FIFO, so each shard observes exactly the
 //!    per-address (in fact per-shard) subsequence of the input stream, in
 //!    input order, regardless of how many workers exist,
-//! 3. statistics merge in global shard order and outcome logs merge by
-//!    sequence number.
+//! 3. each shard folds its outcomes, as they are produced, into its own
+//!    running [`OutcomeDigest`] (which carries every request's sequence
+//!    number), and both the statistics and the digests merge in global
+//!    shard order.
 //!
 //! Consequently, for a fixed shard count, **every worker count produces
-//! bit-identical outcome logs, statistics and shard contents** — equal to
+//! bit-identical outcome digests, statistics and shard contents** — equal to
 //! [`DirectoryService::run_serial`], the inline reference that applies the
 //! same per-shard streams on the calling thread with no channels at all.
 //! `crates/service/tests/service_determinism.rs` enforces this across
@@ -56,7 +58,7 @@
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::load::LoadSpec;
-use crate::request::{digest_outcome_semantics, digest_outcomes, OutcomeRecord, Request};
+use crate::request::{OutcomeDigest, Request};
 use crate::resize::ResizePolicy;
 use crate::supervisor;
 use ccd_common::stats::{Counter, MetricSet, MetricSnapshot};
@@ -178,11 +180,15 @@ pub struct ServiceReport {
     pub entries: usize,
     /// The merged statistics snapshot.
     pub stats: ServiceStats,
-    /// The sequence-ordered outcome log (empty when
-    /// [`ServiceConfig::record_outcomes`] is off).
-    pub outcomes: Vec<OutcomeRecord>,
-    /// FNV-1a digest of the outcome log ([`digest_outcomes`]).
+    /// Digest of every request's outcome: the per-shard
+    /// [`OutcomeDigest`] chains merged in global shard order
+    /// ([`OutcomeDigest::finish`]).  0 when
+    /// [`ServiceConfig::record_outcomes`] is off.
     pub outcome_digest: u64,
+    /// [`ServiceReport::outcome_digest`] with every insertion-attempt
+    /// count masked out ([`OutcomeDigest::semantic`]).  0 when
+    /// [`ServiceConfig::record_outcomes`] is off.
+    pub semantic_digest: u64,
     /// What the observability layer recorded, when one was armed.
     /// Excluded from every semantics view — the explicit field lists in
     /// [`ServiceReport::semantics`] and its siblings are what enforces
@@ -196,26 +202,15 @@ impl ServiceReport {
     /// count.  Two reports with equal `semantics()` applied the same
     /// per-shard streams to the same effect.
     #[must_use]
-    #[allow(clippy::type_complexity)]
-    pub fn semantics(
-        &self,
-    ) -> (
-        &str,
-        usize,
-        u64,
-        usize,
-        &ServiceStats,
-        &[OutcomeRecord],
-        u64,
-    ) {
+    pub fn semantics(&self) -> (&str, usize, u64, usize, &ServiceStats, u64, u64) {
         (
             &self.organization,
             self.shards,
             self.requests,
             self.entries,
             &self.stats,
-            &self.outcomes,
             self.outcome_digest,
+            self.semantic_digest,
         )
     }
 
@@ -238,7 +233,7 @@ impl ServiceReport {
         usize,
         (u64, u64, u64),
         &DirectoryStats,
-        &[OutcomeRecord],
+        u64,
         u64,
     ) {
         (
@@ -252,8 +247,8 @@ impl ServiceReport {
                 self.stats.forced_invalidations.get(),
             ),
             &self.stats.directory,
-            &self.outcomes,
             self.outcome_digest,
+            self.semantic_digest,
         )
     }
 
@@ -270,8 +265,9 @@ impl ServiceReport {
     /// * the organization label (it embeds the *initial* geometry),
     /// * insertion-attempt counts, per request and aggregated (different
     ///   occupancy histories mean different displacement chains), which is
-    ///   why the outcome log is compared through
-    ///   [`digest_outcome_semantics`] and the directory stats are dropped,
+    ///   why outcomes are compared through
+    ///   [`ServiceReport::semantic_digest`] and the directory stats are
+    ///   dropped,
     /// * the resize bookkeeping itself ([`ServiceStats::resizes`]).
     #[must_use]
     pub fn resize_semantics(&self) -> (usize, u64, usize, (u64, u64, u64), u64) {
@@ -284,7 +280,7 @@ impl ServiceReport {
                 self.stats.invalidations.get(),
                 self.stats.forced_invalidations.get(),
             ),
-            digest_outcome_semantics(&self.outcomes),
+            self.semantic_digest,
         )
     }
 }
@@ -473,11 +469,10 @@ impl DirectoryService {
             output.slices[shard].apply(op.with_line(local), &mut out);
             output.applied += 1;
             absorb_into(
-                &mut output.outcomes,
+                &mut output.digests[shard],
                 &mut output.invalidations,
                 &mut output.forced_invalidations,
                 seq as u64,
-                shard as u32,
                 &out,
                 record,
             );
@@ -508,7 +503,8 @@ pub(crate) struct WorkerOutput {
     pub(crate) index: usize,
     /// The owned slices, in local order.
     pub(crate) slices: Vec<Box<dyn Directory>>,
-    pub(crate) outcomes: Vec<OutcomeRecord>,
+    /// One running outcome digest per owned shard (local order).
+    pub(crate) digests: Vec<OutcomeDigest>,
     pub(crate) applied: u64,
     pub(crate) batches: u64,
     pub(crate) invalidations: u64,
@@ -534,7 +530,7 @@ impl WorkerOutput {
         WorkerOutput {
             index,
             slices,
-            outcomes: Vec::new(),
+            digests: vec![OutcomeDigest::new(); owned],
             applied: 0,
             batches: 0,
             invalidations: 0,
@@ -640,29 +636,29 @@ pub(crate) fn maybe_resize(
     }
 }
 
-/// The outcome-accounting kernel shared by both worker paths and the
-/// serial reference (free function so closures can borrow the output
-/// fields disjointly from the slices).
-#[allow(clippy::too_many_arguments)]
+/// The outcome-accounting kernel shared by both worker paths, journal
+/// replay and the serial reference: counts the outcome and folds it into
+/// the applying shard's digest (free function so closures can borrow the
+/// output fields disjointly from the slices).
+#[inline]
 pub(crate) fn absorb_into(
-    outcomes: &mut Vec<OutcomeRecord>,
+    digest: &mut OutcomeDigest,
     invalidations: &mut u64,
     forced_invalidations: &mut u64,
     seq: u64,
-    global_shard: u32,
     out: &Outcome,
     record: bool,
 ) {
     *invalidations += out.invalidate().len() as u64;
     *forced_invalidations += out.forced_invalidation_count() as u64;
     if record {
-        outcomes.push(OutcomeRecord::capture(seq, global_shard, out));
+        digest.absorb(seq, out);
     }
 }
 
 /// Reassembles worker outputs into the final report: shards back into
-/// global order, per-shard statistics merged in that (fixed) order,
-/// outcome logs merged by sequence number.  `shed` and `recoveries` come
+/// global order, per-shard statistics and outcome digests merged in that
+/// (fixed) order.  `shed` and `recoveries` come
 /// from the supervisor (always 0 for serial runs), as does the router's
 /// flight recording (`None` for serial runs).
 #[allow(clippy::too_many_arguments)]
@@ -685,7 +681,6 @@ pub(crate) fn finish(
 
     let mut stats = ServiceStats::new();
     let mut requests = 0u64;
-    let mut outcomes: Vec<OutcomeRecord> = Vec::new();
     let mut batches = 0u64;
     for output in &outputs {
         requests += output.applied;
@@ -704,11 +699,18 @@ pub(crate) fn finish(
     // every shard in global order).
     let stride = outputs.len();
     let mut entries = 0usize;
+    let mut digest = OutcomeDigest::new();
     for shard in 0..shards {
-        let slice = &outputs[shard % stride].slices[shard / stride];
-        entries += slice.len();
-        stats.directory.merge(slice.stats());
+        let (output, local) = (&outputs[shard % stride], shard / stride);
+        entries += output.slices[local].len();
+        stats.directory.merge(output.slices[local].stats());
+        digest.merge(&output.digests[local]);
     }
+    let (outcome_digest, semantic_digest) = if record {
+        (digest.finish(), digest.semantic())
+    } else {
+        (0, 0)
+    };
     // The observability report rides the same reassembly.  Counters come
     // from the merged stats (scheduling-dependent ones — shed, recoveries,
     // batches — deliberately excluded) and the depth distributions merge
@@ -743,15 +745,6 @@ pub(crate) fn finish(
                 .collect(),
         }
     });
-    for output in &mut outputs {
-        outcomes.append(&mut output.outcomes);
-    }
-    outcomes.sort_unstable_by_key(|record| record.seq);
-    let outcome_digest = if record {
-        digest_outcomes(&outcomes)
-    } else {
-        0
-    };
 
     ServiceReport {
         organization,
@@ -761,8 +754,8 @@ pub(crate) fn finish(
         batches,
         entries,
         stats,
-        outcomes,
         outcome_digest,
+        semantic_digest,
         obs,
     }
 }
@@ -820,12 +813,8 @@ mod tests {
             );
         }
         assert_eq!(serial.requests, 5_000);
-        assert_eq!(serial.outcomes.len(), 5_000);
+        assert_ne!(serial.outcome_digest, 0);
         assert!(serial.stats.directory.insertions.get() > 0);
-        // The log is sequence-ordered and dense.
-        for (i, record) in serial.outcomes.iter().enumerate() {
-            assert_eq!(record.seq, i as u64);
-        }
     }
 
     #[test]
@@ -845,8 +834,7 @@ mod tests {
             .unwrap()
             .run(stream.into_iter())
             .unwrap();
-        assert!(report.outcomes.is_empty());
-        assert_eq!(report.outcome_digest, 0);
+        assert_eq!((report.outcome_digest, report.semantic_digest), (0, 0));
         assert_eq!(report.requests, 1_000);
     }
 

@@ -40,9 +40,9 @@
 //! exact request subsequence, in FIFO order — replayed through the *same*
 //! batch-application code the live worker runs.  Replay is therefore not
 //! approximately equivalent to the lost work; it is the same fold over the
-//! same sequence, so the recovered worker's outcome records, statistics
-//! and shard contents are bit-identical to a run in which the crash never
-//! happened.  The undelivered batch that surfaced the disconnect was
+//! same sequence, so the recovered worker's per-shard outcome digests,
+//! statistics and shard contents are bit-identical to a run in which the
+//! crash never happened.  The undelivered batch that surfaced the disconnect was
 //! rolled back out of the journal and is re-offered to the replacement, so
 //! nothing is lost or applied twice.
 //!
@@ -740,16 +740,15 @@ fn apply_requests(
             for request in &requests[start..end] {
                 let shard = request.shard as usize;
                 output.slices[shard].apply(request.op, out);
-                let global_shard = request.shard * workers as u32 + index;
                 absorb_into(
-                    &mut output.outcomes,
+                    &mut output.digests[shard],
                     &mut output.invalidations,
                     &mut output.forced_invalidations,
                     request.seq,
-                    global_shard,
                     out,
                     record,
                 );
+                let global_shard = request.shard * workers as u32 + index;
                 maybe_resize(output, shard, global_shard, policy);
             }
             start = end;
@@ -762,31 +761,21 @@ fn apply_requests(
         // applies directly.
         ops_buf.clear();
         ops_buf.extend(requests.iter().map(|r| r.op));
-        let global_shard = output.index as u32;
         let mut at = 0usize;
-        let (slices, outcomes) = (&mut output.slices, &mut output.outcomes);
+        let (slices, digest) = (&mut output.slices, &mut output.digests[0]);
         let (invalidations, forced) = (&mut output.invalidations, &mut output.forced_invalidations);
         let mut absorb = |_op: &DirectoryOp, out: &Outcome| {
             let seq = requests[at].seq;
             at += 1;
             // The closure borrows the accounting fields disjointly from
             // the mutably borrowed slice.
-            absorb_into(
-                outcomes,
-                invalidations,
-                forced,
-                seq,
-                global_shard,
-                out,
-                record,
-            );
+            absorb_into(digest, invalidations, forced, seq, out, record);
         };
         slices[0].apply_batch(ops_buf, out, &mut absorb);
     } else {
         // Multiple shards: same window discipline as the default
         // `apply_batch`, with each request prefetching and applying on its
         // own shard.
-        let index = output.index as u32;
         let mut start = 0;
         while start < requests.len() {
             let end = (start + APPLY_BATCH_WINDOW).min(requests.len());
@@ -794,14 +783,13 @@ fn apply_requests(
                 output.slices[request.shard as usize].prefetch_line(request.op.line());
             }
             for request in &requests[start..end] {
-                output.slices[request.shard as usize].apply(request.op, out);
-                let global_shard = request.shard * workers as u32 + index;
+                let shard = request.shard as usize;
+                output.slices[shard].apply(request.op, out);
                 absorb_into(
-                    &mut output.outcomes,
+                    &mut output.digests[shard],
                     &mut output.invalidations,
                     &mut output.forced_invalidations,
                     request.seq,
-                    global_shard,
                     out,
                     record,
                 );

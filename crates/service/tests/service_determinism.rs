@@ -1,13 +1,16 @@
 //! The service's determinism contract, enforced as a property over the
 //! topology grid: for a fixed shard count, **every** (workers × shards)
-//! configuration must produce outcome streams and merged statistics
+//! configuration must produce outcome digests and merged statistics
 //! bit-identical to inline serial application of the same per-address
 //! streams — across scenario families, a calibrated paper profile, and a
 //! recorded trace replay.
 
 use ccd_common::rng::{Rng64, SplitMix64};
-use ccd_service::{DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
+use ccd_common::CacheId;
+use ccd_directory::DirectoryOp;
+use ccd_service::{DirectoryService, LoadSpec, ServiceConfig};
 use ccd_workloads::{record_trace, WorkloadSpec};
+use std::collections::BTreeMap;
 
 const CORES: usize = 8;
 const REQUESTS: u64 = 20_000;
@@ -31,15 +34,51 @@ fn assert_matches_serial(spec: &str, shards: usize, workers: usize, load: &LoadS
         "{} x {shards} shards x {workers} workers must be bit-identical to serial",
         load.workload.label()
     );
-    assert_outcome_log_is_dense(&serial);
 }
 
-fn assert_outcome_log_is_dense(report: &ServiceReport) {
-    assert_eq!(report.outcomes.len() as u64, report.requests);
-    for (i, record) in report.outcomes.iter().enumerate() {
-        assert_eq!(record.seq, i as u64, "log is sequence-ordered and dense");
-        assert!((record.shard as usize) < report.shards);
+/// The cache an operation acts for, and whether it claims exclusivity.
+fn actor(op: &DirectoryOp) -> Option<(CacheId, bool)> {
+    match *op {
+        DirectoryOp::AddSharer { cache, .. } => Some((cache, false)),
+        DirectoryOp::SetExclusive { cache, .. } => Some((cache, true)),
+        _ => None,
     }
+}
+
+/// The outcome digests pin every request, in sequence, on its shard:
+/// dropping the last request moves the serial digest, and so does swapping
+/// two consecutive requests to one line (so on one shard) from different
+/// caches, at least one of them exclusive — the later request's
+/// invalidation set differs between the two orders.
+fn assert_digest_pins_every_request(spec: &str, shards: usize, load: &LoadSpec) {
+    let label = load.workload.label();
+    let ops: Vec<DirectoryOp> = load.ops().expect("load streams").collect();
+    let serial = |ops: &[DirectoryOp]| {
+        build(spec, shards, 1)
+            .run_serial(ops.iter().copied())
+            .outcome_digest
+    };
+    let reference = serial(&ops);
+    assert_ne!(
+        serial(&ops[..ops.len() - 1]),
+        reference,
+        "{label} x {shards} shards: dropping the last request must move the digest"
+    );
+
+    let mut last_on_line: BTreeMap<u64, usize> = BTreeMap::new();
+    let pair = ops.iter().enumerate().find_map(|(j, op)| {
+        let i = last_on_line.insert(op.line().block_number(), j)?;
+        let ((a, a_exclusive), (b, b_exclusive)) = (actor(&ops[i])?, actor(op)?);
+        (a != b && (a_exclusive || b_exclusive)).then_some((i, j))
+    });
+    let (i, j) = pair.unwrap_or_else(|| panic!("{label}: no swappable same-line pair"));
+    let mut swapped = ops.clone();
+    swapped.swap(i, j);
+    assert_ne!(
+        serial(&swapped),
+        reference,
+        "{label} x {shards} shards: swapping requests {i} and {j} must move the digest"
+    );
 }
 
 /// Two scenario families and a paper profile, across the topology grid and
@@ -57,6 +96,7 @@ fn every_topology_matches_serial_application() {
                 for workers in [1usize, 2, shards] {
                     assert_matches_serial(spec, shards, workers, &load);
                 }
+                assert_digest_pins_every_request(spec, shards, &load);
             }
         }
     }
@@ -84,6 +124,7 @@ fn trace_replay_traffic_matches_serial_application() {
     for workers in [1usize, 2, 4] {
         assert_matches_serial("cuckoo-4x128-c8", 4, workers, &load);
     }
+    assert_digest_pins_every_request("cuckoo-4x128-c8", 4, &load);
 
     // Replay is also reproducible wholesale: same file, same report.
     let once = build("cuckoo-4x128-c8", 4, 2).run_load(&load).unwrap();

@@ -7,7 +7,8 @@
 //! proof covers the prefetch hints and the batched entry points — the
 //! directory-level `apply_batch` window and the raw cuckoo table's
 //! `probe_batch` / `apply_batch`, which probe through the SoA tag arrays
-//! with caller-owned buffers.
+//! with caller-owned buffers.  The service's serial reference keeps no
+//! per-request state: its allocation count does not grow with the stream.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single `#[test]` so no concurrent test can perturb the
@@ -17,6 +18,7 @@ use ccd_common::{CacheId, LineAddr};
 use ccd_cuckoo::{standard_registry, CuckooTable, InsertOutcome};
 use ccd_directory::{DirectoryOp, Outcome};
 use ccd_hash::HashKind;
+use ccd_service::{DirectoryService, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -240,4 +242,45 @@ fn steady_state_hot_paths_do_not_allocate() {
         }
     });
     assert_eq!(prefetch_allocs, 0, "prefetch allocated {prefetch_allocs}");
+
+    // --- The service's serial reference ------------------------------------
+
+    // Outcomes fold into per-shard digests, so nothing the service keeps
+    // grows with the request count: over a stream cycling through 64 lines
+    // (resident after their first touch), `run_serial` allocates exactly as
+    // often at 64 Ki requests as at 1 Ki.  Only the run is counted; the
+    // build is not.
+    let serial_allocs = |requests: u64| {
+        let mut best = u64::MAX;
+        for _attempt in 0..3 {
+            let service = DirectoryService::build_standard(ServiceConfig::new(
+                "cuckoo-4x512-skew-c8",
+                4,
+                1,
+            ))
+            .expect("service builds");
+            let ops = (0..requests).map(|i| {
+                let line = LineAddr::from_block_number(i / 2 % 64 * 97);
+                if i % 2 == 0 {
+                    DirectoryOp::Probe { line }
+                } else {
+                    DirectoryOp::AddSharer {
+                        line,
+                        cache: CacheId::new((i % 8) as u32),
+                    }
+                }
+            });
+            let before = allocations();
+            let report = service.run_serial(ops);
+            best = best.min(allocations() - before);
+            assert_eq!(report.requests, requests);
+            assert_eq!(report.entries, 64);
+        }
+        best
+    };
+    let (short, long) = (serial_allocs(1 << 10), serial_allocs(1 << 16));
+    assert_eq!(
+        short, long,
+        "run_serial allocated {short} times over 1 Ki requests but {long} over 64 Ki"
+    );
 }
