@@ -6,7 +6,7 @@
 //! deterministic load under an armed `FaultPlan` — scheduled worker
 //! crashes (recovered by journal replay), batch stalls, admission-control
 //! shedding — and records wall-clock throughput, the recovery counters,
-//! and the FNV digest of the sequence-ordered outcome log.  Each cell is
+//! and the merged per-shard outcome digest.  Each cell is
 //! **asserted digest-identical to the fault-free serial reference**
 //! (`ServiceReport::recovery_semantics`): crashing a worker mid-stream
 //! must not change a single byte of what the service computes, only how

@@ -5,12 +5,12 @@
 //! `ccd_service::DirectoryService`: every cell streams the same
 //! deterministic load (three catalog workloads, seed-paired across all
 //! topologies) through the service and records wall-clock throughput,
-//! the merged statistics, and the FNV digest of the sequence-ordered
-//! outcome log.  Before timing anything, each (workload, shard count)
-//! pair is applied through the inline serial reference
-//! (`DirectoryService::run_serial`) and **every concurrent cell is
-//! asserted bit-identical to it** — the service's core determinism
-//! contract, exercised at benchmark scale on every run.
+//! the merged statistics, and the merged per-shard outcome digest.
+//! Before timing anything, each (workload, shard count) pair is applied
+//! through the inline serial reference (`DirectoryService::run_serial`)
+//! and **every concurrent cell is asserted bit-identical to it** — the
+//! service's core determinism contract, exercised at benchmark scale on
+//! every run.
 //!
 //! A final **resize-armed** section starts the migratory workload on a
 //! 4x-undersized shard organization with a live [`ResizePolicy`] armed:

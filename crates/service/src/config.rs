@@ -20,7 +20,7 @@ pub const DEFAULT_BATCH: usize = 256;
 ///   across the shards so the **total capacity is independent of the shard
 ///   count**, exactly like `shardedN:` specs.
 /// * `shards` fixes the address interleaving (`block mod shards`) and with
-///   it the service's *semantics*: outcome streams and statistics depend on
+///   it the service's *semantics*: outcome digests and statistics depend on
 ///   the shard count only.
 /// * `workers` fixes the *parallelism*: shard `s` is owned by worker
 ///   `s mod workers`, every shard is owned by exactly one worker, and no

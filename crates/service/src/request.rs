@@ -19,31 +19,23 @@ pub struct Request {
     pub op: DirectoryOp,
 }
 
-/// Running digests of everything the requests applied to one shard
-/// observably did, in the shard's input order.
+/// Running digests of what the requests applied to one shard observably
+/// did, in the shard's input order.
 ///
-/// Two 64-bit chains absorb every outcome the moment it is produced:
-///
-/// * the **semantic** chain: the request's sequence number, its five flags
-///   and counts, its semantic invalidation targets, and each forced
-///   eviction's victim line (shard-local), target count and targets;
-/// * the **attempts** chain: the insertion-attempt count alone.
+/// Two 64-bit chains absorb each outcome as it is produced: the
+/// **semantic** chain (sequence number, five flags, counts, semantic
+/// invalidation targets, and each forced eviction's shard-local victim
+/// line, target count and targets) and the **attempts** chain
+/// (insertion-attempt counts, kept apart so [`OutcomeDigest::semantic`]
+/// can mask them for live-resize equivalence).
 ///
 /// Each word enters through `(h.rotate_left(23) ^ w) · K` with `K` odd:
 /// for a fixed state the step is injective in the word, and for a fixed
-/// word it is a bijection of the state, so two outcome streams that differ
-/// in a single word always leave different digests.  Because a shard sees
-/// exactly its own input-order subsequence at any worker count (and under
-/// journal replay), its chains are worker-count invariant; because they
-/// carry the sequence number, they pin what a sequence-ordered log of the
-/// same outcomes would.
-///
-/// Attempt counts describe how hard the directory worked, not what it
-/// decided: a statically large table and a table that grew to the same
-/// geometry mid-stream reach the same hits, invalidations and evictions
-/// through different displacement chains.  Keeping attempts on their own
-/// chain lets [`OutcomeDigest::semantic`] mask them for live-resize
-/// equivalence.
+/// word a bijection of the state, so streams that differ in a single word
+/// leave different digests.  A shard sees exactly its own input-order
+/// subsequence at any worker count and under journal replay, so its
+/// chains are worker-count invariant; carrying the sequence number, they
+/// pin what a sequence-ordered log of the same outcomes would.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OutcomeDigest {
     semantic: u64,
@@ -131,196 +123,120 @@ mod tests {
     use ccd_common::{CacheId, LineAddr};
     use ccd_sharers::{FullBitVector, SharerSet};
 
-    /// Every observable field of one request's outcome, as plain data, so
-    /// a test can edit exactly one of them.
-    #[derive(Clone, Debug)]
-    struct Fields {
-        seq: u64,
-        hit: bool,
-        allocated: bool,
-        attempts: u32,
-        failed: bool,
-        invalidated_all: bool,
-        removed_entry: bool,
-        invalidate: Vec<u32>,
-        /// Victim line and its (ascending) invalidation targets.
-        evictions: Vec<(u64, Vec<u32>)>,
+    /// Allocated after 3 attempts, invalidating caches 2 and 5, and
+    /// evicting each `(victim line, caches)` of `evictions`.
+    fn outcome(evictions: &[(u64, &[u32])]) -> Outcome {
+        let mut out = Outcome::new();
+        out.record_allocation(3);
+        out.push_invalidate(CacheId::new(2));
+        out.push_invalidate(CacheId::new(5));
+        for &(victim, caches) in evictions {
+            let mut sharers = FullBitVector::new(16);
+            for &cache in caches {
+                sharers.add(CacheId::new(cache));
+            }
+            out.push_forced_eviction(LineAddr::from_block_number(victim), &sharers);
+        }
+        out
     }
 
-    impl Fields {
-        fn sample() -> Self {
-            Fields {
-                seq: 17,
-                hit: false,
-                allocated: true,
-                attempts: 3,
-                failed: false,
-                invalidated_all: false,
-                removed_entry: false,
-                invalidate: vec![2, 5],
-                evictions: vec![(9, vec![1, 3]), (11, vec![4])],
-            }
+    fn chain(stream: &[(u64, &Outcome)]) -> OutcomeDigest {
+        let mut digest = OutcomeDigest::new();
+        for &(seq, out) in stream {
+            digest.absorb(seq, out);
         }
-
-        fn edited(&self, edit: impl FnOnce(&mut Fields)) -> Fields {
-            let mut fields = self.clone();
-            edit(&mut fields);
-            fields
-        }
-
-        fn outcome(&self) -> Outcome {
-            let mut out = Outcome::new();
-            out.set_hit(self.hit);
-            if self.allocated {
-                out.record_allocation(self.attempts);
-            }
-            assert!(self.allocated || self.attempts == 0, "no setter for that");
-            if self.failed {
-                out.record_insertion_failure();
-            }
-            if self.invalidated_all {
-                out.record_invalidate_all();
-            }
-            if self.removed_entry {
-                out.record_removed_entry();
-            }
-            for &cache in &self.invalidate {
-                out.push_invalidate(CacheId::new(cache));
-            }
-            for (line, targets) in &self.evictions {
-                let mut sharers = FullBitVector::new(8);
-                for &cache in targets {
-                    sharers.add(CacheId::new(cache));
-                }
-                out.push_forced_eviction(LineAddr::from_block_number(*line), &sharers);
-            }
-            out
-        }
-
-        fn digest(&self) -> OutcomeDigest {
-            let mut digest = OutcomeDigest::new();
-            digest.absorb(self.seq, &self.outcome());
-            digest
-        }
-    }
-
-    #[test]
-    fn the_fields_round_trip_through_an_outcome() {
-        let fields = Fields::sample();
-        let out = fields.outcome();
-        assert_eq!(out.insertion_attempts(), 3);
-        assert_eq!(out.invalidate().len(), 2);
-        assert_eq!(out.forced_eviction_count(), 2);
-        assert_eq!(out.forced_invalidation_count(), 3);
-        let evictions: Vec<_> = out.forced_evictions().collect();
-        assert_eq!(evictions[0].targets, [CacheId::new(1), CacheId::new(3)]);
-        assert_eq!(evictions[1].line, LineAddr::from_block_number(11));
+        digest
     }
 
     #[test]
     fn every_single_field_change_moves_the_digest() {
-        let base = Fields::sample();
-        // `allocated` cannot be cleared while attempts are nonzero, so its
-        // flip starts from an unallocated outcome.
-        let unallocated = base.edited(|f| (f.allocated, f.attempts) = (false, 0));
-        let semantic_cases = [
-            ("seq", base.clone(), base.edited(|f| f.seq += 1)),
-            ("hit", base.clone(), base.edited(|f| f.hit = true)),
+        let base = outcome(&[(9, &[1, 3]), (11, &[12])]);
+        let edit = |f: fn(&mut Outcome)| {
+            let mut out = base.clone();
+            f(&mut out);
+            out
+        };
+        let cases = [
+            ("hit", edit(|o| o.set_hit(true))),
+            ("failed", edit(Outcome::record_insertion_failure)),
+            ("invalidated_all", edit(Outcome::record_invalidate_all)),
+            ("removed_entry", edit(Outcome::record_removed_entry)),
             (
-                "allocated",
-                unallocated.clone(),
-                unallocated.edited(|f| f.allocated = true),
-            ),
-            ("failed", base.clone(), base.edited(|f| f.failed = true)),
-            (
-                "invalidated_all",
-                base.clone(),
-                base.edited(|f| f.invalidated_all = true),
+                "invalidations",
+                edit(|o| o.push_invalidate(CacheId::new(6))),
             ),
             (
-                "removed_entry",
-                base.clone(),
-                base.edited(|f| f.removed_entry = true),
+                "forced evictions",
+                outcome(&[(9, &[1, 3]), (11, &[12]), (13, &[0])]),
             ),
             (
-                "invalidation count",
-                base.clone(),
-                base.edited(|f| f.invalidate.push(6)),
-            ),
-            (
-                "forced-eviction count",
-                base.clone(),
-                base.edited(|f| f.evictions.push((13, vec![0]))),
-            ),
-            (
-                "forced-invalidation count",
-                base.clone(),
-                base.edited(|f| f.evictions[0].1.push(6)),
+                "forced invalidations",
+                outcome(&[(9, &[1, 3, 6]), (11, &[12])]),
             ),
             (
                 "invalidation target",
-                base.clone(),
-                base.edited(|f| f.invalidate[1] = 6),
+                edit(|o| o.invalidate_buf()[1] = CacheId::new(6)),
             ),
+            ("victim line", outcome(&[(9, &[1, 3]), (12, &[12])])),
+            ("eviction target", outcome(&[(9, &[1, 6]), (11, &[12])])),
+            // The same words as `base` but for the per-eviction counts.
             (
-                "eviction victim line",
-                base.clone(),
-                base.edited(|f| f.evictions[1].0 = 12),
-            ),
-            (
-                "eviction target",
-                base.clone(),
-                base.edited(|f| f.evictions[1].1[0] = 6),
+                "targets regrouped across evictions",
+                outcome(&[(9, &[1]), (3, &[11, 12])]),
             ),
         ];
-        for (field, before, after) in &semantic_cases {
-            let (before, after) = (before.digest(), after.digest());
+        let before = chain(&[(17, &base)]);
+        // `allocated` cannot be cleared once set, so it flips from an
+        // unallocated outcome instead.
+        let mut allocated = Outcome::new();
+        allocated.record_allocation(0);
+        let mut pairs = vec![
+            ("seq", before, chain(&[(18, &base)])),
+            (
+                "allocated",
+                chain(&[(17, &Outcome::new())]),
+                chain(&[(17, &allocated)]),
+            ),
+        ];
+        pairs.extend(
+            cases
+                .iter()
+                .map(|(field, out)| (*field, before, chain(&[(17, out)]))),
+        );
+        for (field, before, after) in pairs {
             assert_ne!(before.finish(), after.finish(), "{field}");
             assert_ne!(before.semantic(), after.semantic(), "{field}");
         }
 
-        let cheaper = base.edited(|f| f.attempts = 1);
-        assert_ne!(base.digest().finish(), cheaper.digest().finish());
+        let cheaper = chain(&[(17, &edit(|o| o.record_allocation(1)))]);
+        assert_ne!(before.finish(), cheaper.finish());
         assert_eq!(
-            base.digest().semantic(),
-            cheaper.digest().semantic(),
+            before.semantic(),
+            cheaper.semantic(),
             "attempt counts must not enter the semantic view"
         );
     }
 
     #[test]
     fn digests_are_order_and_shard_sensitive() {
-        let a = Fields::sample().outcome();
-        let b = Fields::sample()
-            .edited(|f| (f.hit, f.invalidate) = (true, vec![7]))
-            .outcome();
-        let chain = |stream: &[(u64, &Outcome)]| {
-            let mut digest = OutcomeDigest::new();
-            for &(seq, out) in stream {
-                digest.absorb(seq, out);
-            }
-            digest.finish()
-        };
-        let in_order = chain(&[(0, &a), (1, &b)]);
-        assert_eq!(in_order, chain(&[(0, &a), (1, &b)]), "deterministic");
-        assert_ne!(in_order, chain(&[(1, &b), (0, &a)]), "requests swapped");
-        assert_ne!(in_order, chain(&[(0, &b), (1, &a)]), "outcomes swapped");
-        assert_ne!(in_order, chain(&[(0, &a)]), "a request dropped");
+        let (a, mut b) = (outcome(&[(9, &[1, 3])]), Outcome::new());
+        b.set_hit(true);
+        let in_order = chain(&[(0, &a), (1, &b)]).finish();
+        assert_eq!(in_order, chain(&[(0, &a), (1, &b)]).finish());
+        // Requests swapped, outcomes swapped between them, one dropped.
+        assert_ne!(in_order, chain(&[(1, &b), (0, &a)]).finish());
+        assert_ne!(in_order, chain(&[(0, &b), (1, &a)]).finish());
+        assert_ne!(in_order, chain(&[(0, &a)]).finish());
 
-        // The same outcome on shard 0 or shard 1 of two.
-        let mut touched = OutcomeDigest::new();
-        touched.absorb(0, &a);
+        // The same outcome on the first or the second of two shards.
+        let (touched, empty) = (chain(&[(0, &a)]), OutcomeDigest::new());
         let merged = |shards: [&OutcomeDigest; 2]| {
             let mut digest = OutcomeDigest::new();
-            for shard in shards {
-                digest.merge(shard);
-            }
+            shards.iter().for_each(|shard| digest.merge(shard));
             digest
         };
-        let empty = OutcomeDigest::new();
-        let on_first = merged([&touched, &empty]);
-        let on_second = merged([&empty, &touched]);
-        assert_ne!(on_first.finish(), on_second.finish());
-        assert_ne!(on_first.semantic(), on_second.semantic());
+        let (first, second) = (merged([&touched, &empty]), merged([&empty, &touched]));
+        assert_ne!(first.finish(), second.finish());
+        assert_ne!(first.semantic(), second.semantic());
     }
 }

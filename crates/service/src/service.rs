@@ -658,9 +658,9 @@ pub(crate) fn absorb_into(
 
 /// Reassembles worker outputs into the final report: shards back into
 /// global order, per-shard statistics and outcome digests merged in that
-/// (fixed) order.  `shed` and `recoveries` come
-/// from the supervisor (always 0 for serial runs), as does the router's
-/// flight recording (`None` for serial runs).
+/// (fixed) order.  `shed` and `recoveries` come from the supervisor
+/// (always 0 for serial runs), as does the router's flight recording
+/// (`None` for serial runs).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish(
     organization: String,

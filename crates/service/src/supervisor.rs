@@ -42,9 +42,9 @@
 //! approximately equivalent to the lost work; it is the same fold over the
 //! same sequence, so the recovered worker's per-shard outcome digests,
 //! statistics and shard contents are bit-identical to a run in which the
-//! crash never happened.  The undelivered batch that surfaced the disconnect was
-//! rolled back out of the journal and is re-offered to the replacement, so
-//! nothing is lost or applied twice.
+//! crash never happened.  The undelivered batch that surfaced the
+//! disconnect was rolled back out of the journal and is re-offered to the
+//! replacement, so nothing is lost or applied twice.
 //!
 //! Replay runs with the remaining crash points still armed: a second crash
 //! point whose trigger lies inside the journaled range fires *during
@@ -740,6 +740,7 @@ fn apply_requests(
             for request in &requests[start..end] {
                 let shard = request.shard as usize;
                 output.slices[shard].apply(request.op, out);
+                let global_shard = request.shard * workers as u32 + index;
                 absorb_into(
                     &mut output.digests[shard],
                     &mut output.invalidations,
@@ -748,7 +749,6 @@ fn apply_requests(
                     out,
                     record,
                 );
-                let global_shard = request.shard * workers as u32 + index;
                 maybe_resize(output, shard, global_shard, policy);
             }
             start = end;

@@ -2,7 +2,7 @@
 //! recoverable [`FaultPlan`] — scheduled worker crashes, batch stalls,
 //! admission-control shedding — must produce a report whose
 //! [`recovery_semantics`](ccd_service::ServiceReport::recovery_semantics)
-//! (outcome log, digest, statistics, entries; everything except the `shed`
+//! (outcome digests, statistics, entries; everything except the `shed`
 //! and `recoveries` counters that describe the failure handling itself) is
 //! **byte-identical to the fault-free serial reference**.  Unrecoverable
 //! plans must surface [`ServiceError::WorkerCrashed`] as a value — no hang,

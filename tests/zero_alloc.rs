@@ -253,12 +253,9 @@ fn steady_state_hot_paths_do_not_allocate() {
     let serial_allocs = |requests: u64| {
         let mut best = u64::MAX;
         for _attempt in 0..3 {
-            let service = DirectoryService::build_standard(ServiceConfig::new(
-                "cuckoo-4x512-skew-c8",
-                4,
-                1,
-            ))
-            .expect("service builds");
+            let service =
+                DirectoryService::build_standard(ServiceConfig::new("cuckoo-4x512-skew-c8", 4, 1))
+                    .expect("service builds");
             let ops = (0..requests).map(|i| {
                 let line = LineAddr::from_block_number(i / 2 % 64 * 97);
                 if i % 2 == 0 {
