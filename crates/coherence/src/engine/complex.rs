@@ -2,6 +2,7 @@
 
 use crate::{DirectorySpec, SystemConfig};
 use ccd_common::{ConfigError, LineAddr};
+use ccd_directory::sharded::{deinterleave, interleave};
 use ccd_directory::{Directory, DirectoryOp, DirectoryStats, Outcome};
 
 /// The distributed directory: one slice per tile plus the home-slice
@@ -59,19 +60,14 @@ impl DirectoryComplex {
     /// line handed to that slice's directory.
     #[must_use]
     pub fn home_of(&self, line: LineAddr) -> (usize, LineAddr) {
-        let slices = self.slices.len() as u64;
-        let block = line.block_number();
-        (
-            (block % slices) as usize,
-            LineAddr::from_block_number(block / slices),
-        )
+        interleave(self.slices.len(), line)
     }
 
     /// Reconstructs the global line address from a slice index and the
     /// slice-local line reported by that slice.
     #[must_use]
     pub fn global_line(&self, slice: usize, local: LineAddr) -> LineAddr {
-        LineAddr::from_block_number(local.block_number() * self.slices.len() as u64 + slice as u64)
+        deinterleave(self.slices.len(), slice, local)
     }
 
     /// Applies `op` (already carrying a slice-local line) to `slice`.

@@ -21,6 +21,25 @@
 use crate::{Directory, DirectoryOp, DirectoryStats, Outcome, StorageProfile};
 use ccd_common::{CacheId, ConfigError, LineAddr};
 
+/// Which of `shards` slices owns `line` (`block mod shards`), and the
+/// slice-local line that slice sees (`block div shards`, so intra-slice
+/// indexing is not aliased by the interleaving).
+#[inline]
+#[must_use]
+pub fn interleave(shards: usize, line: LineAddr) -> (usize, LineAddr) {
+    let n = shards as u64;
+    let block = line.block_number();
+    ((block % n) as usize, LineAddr::from_block_number(block / n))
+}
+
+/// The inverse of [`interleave`]: the global line of slice `shard`'s
+/// slice-local line `local`.
+#[inline]
+#[must_use]
+pub fn deinterleave(shards: usize, shard: usize, local: LineAddr) -> LineAddr {
+    LineAddr::from_block_number(local.block_number() * shards as u64 + shard as u64)
+}
+
 /// `N` address-interleaved directory slices behind one [`Directory`].
 pub struct ShardedDirectory {
     shards: Vec<Box<dyn Directory>>,
@@ -74,16 +93,8 @@ impl ShardedDirectory {
         &self.shards
     }
 
-    /// Which slice owns `line`, and the slice-local line it sees.
     fn home_of(&self, line: LineAddr) -> (usize, LineAddr) {
-        let n = self.shards.len() as u64;
-        let block = line.block_number();
-        ((block % n) as usize, LineAddr::from_block_number(block / n))
-    }
-
-    /// Reconstructs the global line from a shard index and its local line.
-    fn global_line(&self, shard: usize, local: LineAddr) -> LineAddr {
-        LineAddr::from_block_number(local.block_number() * self.shards.len() as u64 + shard as u64)
+        interleave(self.shards.len(), line)
     }
 
     /// Folds the operation's observable effects into the aggregate
@@ -172,7 +183,7 @@ impl Directory for ShardedDirectory {
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome) {
         let (shard, local) = self.home_of(op.line());
         self.shards[shard].apply(op.with_line(local), out);
-        out.map_eviction_lines(|victim| self.global_line(shard, victim));
+        out.map_eviction_lines(|victim| deinterleave(self.shards.len(), shard, victim));
         self.absorb_outcome(&op, out);
     }
 

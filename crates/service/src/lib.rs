@@ -11,8 +11,9 @@
 //! * ingests coherence requests through bounded channels
 //!   ([`ccd_common::channel`]) with blocking backpressure, so any generator
 //!   becomes a closed loop;
-//! * drains requests in batches through the directories' batched fast path
-//!   ([`Directory::apply_batch`] / [`Directory::prefetch_line`]);
+//! * drains requests in batches through one kernel shared by live workers
+//!   and journal replay, which overlaps each window's cache misses with
+//!   [`Directory::prefetch_line`];
 //! * exposes a snapshot-consistent, mergeable [`ServiceStats`] built from
 //!   the same `Counter::merge` / `DirectoryStats::merge` machinery as the
 //!   simulation engine;
@@ -59,7 +60,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! [`Directory::apply_batch`]: ccd_directory::Directory::apply_batch
 //! [`Directory::prefetch_line`]: ccd_directory::Directory::prefetch_line
 
 #![warn(missing_docs)]
@@ -81,4 +81,4 @@ pub use fault::{CrashPoint, FaultPlan, StallPoint};
 pub use load::{op_for, LoadSpec, OpStream};
 pub use request::{OutcomeDigest, Request};
 pub use resize::{ResizeMode, ResizePolicy};
-pub use service::{DirectoryService, ObsReport, ServiceReport, ServiceStats};
+pub use service::{DirectoryService, ObsReport, Semantics, ServiceReport, ServiceStats};

@@ -16,12 +16,12 @@
 //! Every shard is owned by exactly one worker, so the hot path takes no
 //! lock: a worker's only synchronization is the bounded ingestion channel
 //! it drains batches from (and the allocation-recycling return channel it
-//! offers drained batch buffers back on).  Batches are applied through the
-//! directories' own batched fast path — [`Directory::apply_batch`] when a
-//! worker owns a single shard, and the same window-prefetch discipline
-//! ([`Directory::prefetch_line`] per [`ccd_directory::APPLY_BATCH_WINDOW`])
-//! across shards
-//! otherwise.
+//! offers drained batch buffers back on).  Every batch goes through one
+//! kernel: per window of [`ccd_directory::APPLY_BATCH_WINDOW`] requests it
+//! prefetches each request's line on its own shard
+//! ([`Directory::prefetch_line`]), then applies, absorbs and (with a resize
+//! policy armed) counts each request towards its shard's resize epoch.
+//! Journal replay runs the same per-batch step over the journal.
 //!
 //! # Determinism contract
 //!
@@ -62,7 +62,8 @@ use crate::request::{OutcomeDigest, Request};
 use crate::resize::ResizePolicy;
 use crate::supervisor;
 use ccd_common::stats::{Counter, MetricSet, MetricSnapshot};
-use ccd_common::{ConfigError, LineAddr};
+use ccd_common::ConfigError;
+use ccd_directory::sharded::interleave;
 use ccd_directory::{
     BuilderRegistry, DepthMetrics, Directory, DirectoryOp, DirectorySpec, DirectoryStats, Outcome,
 };
@@ -196,22 +197,44 @@ pub struct ServiceReport {
     pub obs: Option<ObsReport>,
 }
 
+/// The result-bearing part of a [`ServiceReport`], as compared by the
+/// determinism contracts.  [`ServiceReport::semantics`] fills every field;
+/// its sibling views blank (zero or empty) the fields they exclude, so two
+/// views compare with `assert_eq!` and a failure names the differing field.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Semantics<'a> {
+    /// [`ServiceReport::organization`].
+    pub organization: &'a str,
+    /// [`ServiceReport::shards`].
+    pub shards: usize,
+    /// [`ServiceReport::requests`].
+    pub requests: u64,
+    /// [`ServiceReport::entries`].
+    pub entries: usize,
+    /// [`ServiceReport::stats`].
+    pub stats: ServiceStats,
+    /// [`ServiceReport::outcome_digest`].
+    pub outcome_digest: u64,
+    /// [`ServiceReport::semantic_digest`].
+    pub semantic_digest: u64,
+}
+
 impl ServiceReport {
     /// The worker-count-independent part of the report — everything the
     /// determinism contract says must be bit-identical for a fixed shard
     /// count.  Two reports with equal `semantics()` applied the same
     /// per-shard streams to the same effect.
     #[must_use]
-    pub fn semantics(&self) -> (&str, usize, u64, usize, &ServiceStats, u64, u64) {
-        (
-            &self.organization,
-            self.shards,
-            self.requests,
-            self.entries,
-            &self.stats,
-            self.outcome_digest,
-            self.semantic_digest,
-        )
+    pub fn semantics(&self) -> Semantics<'_> {
+        Semantics {
+            organization: &self.organization,
+            shards: self.shards,
+            requests: self.requests,
+            entries: self.entries,
+            stats: self.stats.clone(),
+            outcome_digest: self.outcome_digest,
+            semantic_digest: self.semantic_digest,
+        }
     }
 
     /// The part of the report the **fault-recovery** determinism contract
@@ -221,35 +244,14 @@ impl ServiceReport {
     ///
     /// A run under a recoverable fault plan must match the fault-free
     /// serial reference on this view: shedding and recovery may change how
-    /// work was scheduled and accounted, never what it computed.
+    /// work was scheduled and accounted, never what it computed.  The
+    /// resize count stays in the view: replay re-fires every resize.
     #[must_use]
-    #[allow(clippy::type_complexity)]
-    pub fn recovery_semantics(
-        &self,
-    ) -> (
-        &str,
-        usize,
-        u64,
-        usize,
-        (u64, u64, u64),
-        &DirectoryStats,
-        u64,
-        u64,
-    ) {
-        (
-            &self.organization,
-            self.shards,
-            self.requests,
-            self.entries,
-            (
-                self.stats.requests.get(),
-                self.stats.invalidations.get(),
-                self.stats.forced_invalidations.get(),
-            ),
-            &self.stats.directory,
-            self.outcome_digest,
-            self.semantic_digest,
-        )
+    pub fn recovery_semantics(&self) -> Semantics<'_> {
+        let mut view = self.semantics();
+        view.stats.shed = Counter::new();
+        view.stats.recoveries = Counter::new();
+        view
     }
 
     /// The part of the report the **live-resize** determinism contract
@@ -260,28 +262,25 @@ impl ServiceReport {
     /// a statically provisioned run at that geometry on this view —
     /// provided neither run forced evictions (a discard permanently changes
     /// which entries are resident, after which the streams legitimately
-    /// diverge).  Excluded relative to [`ServiceReport::semantics`]:
+    /// diverge).  Blanked relative to [`ServiceReport::semantics`]:
     ///
     /// * the organization label (it embeds the *initial* geometry),
     /// * insertion-attempt counts, per request and aggregated (different
     ///   occupancy histories mean different displacement chains), which is
     ///   why outcomes are compared through
-    ///   [`ServiceReport::semantic_digest`] and the directory stats are
-    ///   dropped,
+    ///   [`ServiceReport::semantic_digest`] alone and the directory stats
+    ///   are dropped,
+    /// * the failure-handling counters, as in
+    ///   [`ServiceReport::recovery_semantics`],
     /// * the resize bookkeeping itself ([`ServiceStats::resizes`]).
     #[must_use]
-    pub fn resize_semantics(&self) -> (usize, u64, usize, (u64, u64, u64), u64) {
-        (
-            self.shards,
-            self.requests,
-            self.entries,
-            (
-                self.stats.requests.get(),
-                self.stats.invalidations.get(),
-                self.stats.forced_invalidations.get(),
-            ),
-            self.semantic_digest,
-        )
+    pub fn resize_semantics(&self) -> Semantics<'_> {
+        let mut view = self.recovery_semantics();
+        view.organization = "";
+        view.stats.resizes = Counter::new();
+        view.stats.directory = DirectoryStats::default();
+        view.outcome_digest = 0;
+        view
     }
 }
 
@@ -422,16 +421,6 @@ impl DirectoryService {
         Ok(self.run_serial(ops))
     }
 
-    /// Routes `op`'s line: the owning global shard and the shard-local line.
-    #[inline]
-    pub(crate) fn route(shards: u64, line: LineAddr) -> (usize, LineAddr) {
-        let block = line.block_number();
-        (
-            (block % shards) as usize,
-            LineAddr::from_block_number(block / shards),
-        )
-    }
-
     /// Runs the service over `ops`: spawns one supervised worker thread per
     /// configured worker, ingests the stream in batches with backpressure
     /// from the calling thread, drains everything, joins the workers and
@@ -452,30 +441,25 @@ impl DirectoryService {
     }
 
     /// The serial reference: applies the same per-shard streams inline on
-    /// the calling thread — no workers, no channels, no batching.  Any
-    /// concurrent run over the same shard count must match this
-    /// bit-identically (see [`ServiceReport::semantics`]).
+    /// the calling thread — no workers, no channels, no batching, no
+    /// prefetch.  Any concurrent run over the same shard count must match
+    /// this bit-identically (see [`ServiceReport::semantics`]).  It is kept
+    /// apart from the workers' batch kernel on purpose: it is what that
+    /// kernel is checked against, so it shares only the outcome
+    /// accounting (`WorkerOutput::absorb`) and the resize step.
     #[must_use]
     pub fn run_serial(mut self, ops: impl Iterator<Item = DirectoryOp>) -> ServiceReport {
         let shards = self.config.shards;
         let record = self.config.record_outcomes;
         let resize = self.config.resize_policy.clone();
         let obs = self.obs.clone();
-        let mut output = WorkerOutput::new(0, std::mem::take(&mut self.slices));
-        output.arm_obs(obs.as_ref());
+        let mut output = WorkerOutput::new(0, std::mem::take(&mut self.slices), obs.as_ref());
         let mut out = Outcome::new();
         for (seq, op) in ops.enumerate() {
-            let (shard, local) = Self::route(shards as u64, op.line());
+            let (shard, local) = interleave(shards, op.line());
             output.slices[shard].apply(op.with_line(local), &mut out);
             output.applied += 1;
-            absorb_into(
-                &mut output.digests[shard],
-                &mut output.invalidations,
-                &mut output.forced_invalidations,
-                seq as u64,
-                &out,
-                record,
-            );
+            output.absorb(shard, seq as u64, &out, record);
             // Same order as the worker path: apply, absorb, then count the
             // request towards the shard's resize epoch.
             if let Some(policy) = resize.as_ref() {
@@ -483,17 +467,13 @@ impl DirectoryService {
             }
         }
         // One "worker" owning every shard in global order.
-        finish(
-            self.organization,
-            shards,
-            1,
-            vec![output],
-            record,
-            0,
-            0,
-            obs.as_ref(),
-            None,
-        )
+        let fleet = JoinedFleet {
+            outputs: vec![output],
+            shed: 0,
+            recoveries: 0,
+            router: None,
+        };
+        finish(self.organization, shards, fleet, record, obs.as_ref())
     }
 }
 
@@ -525,7 +505,14 @@ pub(crate) struct WorkerOutput {
 }
 
 impl WorkerOutput {
-    pub(crate) fn new(index: usize, slices: Vec<Box<dyn Directory>>) -> Self {
+    /// A fresh output for worker `index` owning `slices`, its flight
+    /// recorder armed from the effective observability config (a ring-less
+    /// config keeps the recorder off).
+    pub(crate) fn new(
+        index: usize,
+        slices: Vec<Box<dyn Directory>>,
+        obs: Option<&ObsConfig>,
+    ) -> Self {
         let owned = slices.len();
         WorkerOutput {
             index,
@@ -538,16 +525,10 @@ impl WorkerOutput {
             shard_applied: vec![0; owned],
             shard_resizes: vec![0; owned],
             resizes: 0,
-            recorder: None,
+            recorder: obs
+                .filter(|cfg| cfg.records_events())
+                .map(|cfg| FlightRecorder::new(cfg.ring(), cfg.spans())),
         }
-    }
-
-    /// Arms the worker's flight recorder from the effective observability
-    /// config (a ring-less config keeps the recorder off).
-    pub(crate) fn arm_obs(&mut self, obs: Option<&ObsConfig>) {
-        self.recorder = obs
-            .filter(|cfg| cfg.records_events())
-            .map(|cfg| FlightRecorder::new(cfg.ring(), cfg.spans()));
     }
 
     /// Opens the batch-application span (no-op unless spans are armed).
@@ -555,6 +536,18 @@ impl WorkerOutput {
     pub(crate) fn batch_span_begin(&mut self, requests: &[Request]) {
         if let (Some(recorder), Some(first)) = (self.recorder.as_mut(), requests.first()) {
             recorder.span_begin(self.index as u16, first.seq, requests.len() as u64);
+        }
+    }
+
+    /// Counts the outcome of a request just applied to (local) shard
+    /// `shard` and, when outcomes are recorded, folds it into that shard's
+    /// digest.
+    #[inline]
+    pub(crate) fn absorb(&mut self, shard: usize, seq: u64, out: &Outcome, record: bool) {
+        self.invalidations += out.invalidate().len() as u64;
+        self.forced_invalidations += out.forced_invalidation_count() as u64;
+        if record {
+            self.digests[shard].absorb(seq, out);
         }
     }
 
@@ -578,7 +571,7 @@ impl WorkerOutput {
     }
 }
 
-/// The live-resize kernel shared by the worker path and the serial
+/// The live-resize step shared by the worker kernel and the serial
 /// reference: counts the request just applied to (local) shard `shard`
 /// and, at an epoch boundary, consults the policy and resizes the slice in
 /// place.  Runs at exactly the same points of a shard's stream no matter
@@ -636,43 +629,32 @@ pub(crate) fn maybe_resize(
     }
 }
 
-/// The outcome-accounting kernel shared by both worker paths, journal
-/// replay and the serial reference: counts the outcome and folds it into
-/// the applying shard's digest (free function so closures can borrow the
-/// output fields disjointly from the slices).
-#[inline]
-pub(crate) fn absorb_into(
-    digest: &mut OutcomeDigest,
-    invalidations: &mut u64,
-    forced_invalidations: &mut u64,
-    seq: u64,
-    out: &Outcome,
-    record: bool,
-) {
-    *invalidations += out.invalidate().len() as u64;
-    *forced_invalidations += out.forced_invalidation_count() as u64;
-    if record {
-        digest.absorb(seq, out);
-    }
+/// What a drained fleet hands to [`finish`]: one output per worker, plus
+/// the supervisor's shed and recovery counts and the router's flight
+/// recording (0, 0 and `None` for serial runs).
+pub(crate) struct JoinedFleet {
+    pub(crate) outputs: Vec<WorkerOutput>,
+    pub(crate) shed: u64,
+    pub(crate) recoveries: u64,
+    pub(crate) router: Option<FlightRecording>,
 }
 
 /// Reassembles worker outputs into the final report: shards back into
 /// global order, per-shard statistics and outcome digests merged in that
-/// (fixed) order.  `shed` and `recoveries` come from the supervisor
-/// (always 0 for serial runs), as does the router's flight recording
-/// (`None` for serial runs).
-#[allow(clippy::too_many_arguments)]
+/// (fixed) order.
 pub(crate) fn finish(
     organization: String,
     shards: usize,
-    workers: usize,
-    mut outputs: Vec<WorkerOutput>,
+    fleet: JoinedFleet,
     record: bool,
-    shed: u64,
-    recoveries: u64,
     obs: Option<&ObsConfig>,
-    router: Option<FlightRecording>,
 ) -> ServiceReport {
+    let JoinedFleet {
+        mut outputs,
+        shed,
+        recoveries,
+        router,
+    } = fleet;
     outputs.sort_by_key(|output| output.index);
     debug_assert!(outputs
         .iter()
@@ -749,7 +731,7 @@ pub(crate) fn finish(
     ServiceReport {
         organization,
         shards,
-        workers,
+        workers: stride,
         requests,
         batches,
         entries,
@@ -763,7 +745,7 @@ pub(crate) fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccd_common::CacheId;
+    use ccd_common::{CacheId, LineAddr};
 
     fn ops(n: u64) -> Vec<DirectoryOp> {
         // A deterministic little op mix touching a handful of lines from a

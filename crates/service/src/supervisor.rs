@@ -38,13 +38,18 @@
 //! accounting, so recovery starts from nothing: fresh shards built from
 //! the same registry and per-shard spec, then the journal — the worker's
 //! exact request subsequence, in FIFO order — replayed through the *same*
-//! batch-application code the live worker runs.  Replay is therefore not
-//! approximately equivalent to the lost work; it is the same fold over the
-//! same sequence, so the recovered worker's per-shard outcome digests,
-//! statistics and shard contents are bit-identical to a run in which the
-//! crash never happened.  The undelivered batch that surfaced the
-//! disconnect was rolled back out of the journal and is re-offered to the
-//! replacement, so nothing is lost or applied twice.
+//! per-batch step (`run_batch`) and batch kernel (`apply_requests`)
+//! the live worker runs; replay only cuts the journal into batches of the
+//! configured size instead of receiving them.  Where batches are cut does
+//! not matter: the kernel's prefetch windows change no result, crash
+//! points cut at a sequence number, and resize epochs count each shard's
+//! own requests.  Replay is therefore not approximately equivalent to the
+//! lost work; it is the same fold over the same sequence, so the recovered
+//! worker's per-shard outcome digests, statistics and shard contents are
+//! bit-identical to a run in which the crash never happened.  The
+//! undelivered batch that surfaced the disconnect was rolled back out of
+//! the journal and is re-offered to the replacement, so nothing is lost or
+//! applied twice.
 //!
 //! Replay runs with the remaining crash points still armed: a second crash
 //! point whose trigger lies inside the journaled range fires *during
@@ -75,9 +80,10 @@ use crate::fault::{silence_injected_panics, FaultPlan, InjectedCrash, ShedGate, 
 use crate::request::Request;
 use crate::resize::ResizePolicy;
 use crate::service::{
-    absorb_into, finish, maybe_resize, DirectoryService, ServiceReport, WorkerOutput,
+    finish, maybe_resize, DirectoryService, JoinedFleet, ServiceReport, WorkerOutput,
 };
 use ccd_common::channel::{bounded, Backoff, Receiver, SendTimeoutError, Sender};
+use ccd_directory::sharded::interleave;
 use ccd_directory::{
     BuilderRegistry, Directory, DirectoryOp, DirectorySpec, Outcome, APPLY_BATCH_WINDOW,
 };
@@ -86,16 +92,6 @@ use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::{Scope, ScopedJoinHandle};
 
-/// What the supervisor hands back once the fleet drains: the worker
-/// outputs, the shed and recovery counts, and the router-side flight
-/// recording (when one was armed).
-type JoinedFleet = (
-    Vec<WorkerOutput>,
-    u64,
-    u64,
-    Option<ccd_obs::FlightRecording>,
-);
-
 /// First tick budget of the delivery backoff schedule.
 pub(crate) const SEND_BACKOFF_START: u32 = 1;
 
@@ -103,7 +99,8 @@ pub(crate) const SEND_BACKOFF_START: u32 = 1;
 /// bounded waiting per round at [`ccd_common::channel::TICK`]).
 pub(crate) const SEND_BACKOFF_MAX: u32 = 1024;
 
-/// Everything about a run that never changes while it executes.
+/// Everything about a run that never changes while it executes.  Workers
+/// borrow it for the whole run.
 struct RunEnv {
     registry: BuilderRegistry,
     slice_spec: DirectorySpec,
@@ -133,9 +130,9 @@ impl RunEnv {
         (self.shards - worker).div_ceil(self.workers)
     }
 
-    /// Builds fresh, empty slices for worker `w`'s shards, re-armed for
-    /// observation like the originals.
-    fn rebuild_slices(&self, worker: usize) -> Result<Vec<Box<dyn Directory>>, ServiceError> {
+    /// A fresh, empty output for worker `w`: new slices for its shards,
+    /// re-armed for observation like the originals.
+    fn rebuild(&self, worker: usize) -> Result<WorkerOutput, ServiceError> {
         let mut slices = (0..self.owned_shards(worker))
             .map(|_| self.registry.build(&self.slice_spec))
             .collect::<Result<Vec<_>, _>>()
@@ -145,7 +142,13 @@ impl RunEnv {
                 slice.arm_depth_metrics(obs.sig_bits());
             }
         }
-        Ok(slices)
+        Ok(WorkerOutput::new(worker, slices, self.obs.as_ref()))
+    }
+
+    /// Worker `w`'s fault hooks once `fired` of its crash points have
+    /// fired.
+    fn hooks(&self, worker: usize, fired: usize) -> Option<WorkerFaults> {
+        self.plan.as_ref().and_then(|plan| plan.arm(worker, fired))
     }
 }
 
@@ -175,19 +178,32 @@ impl CrashNote {
         }
     }
 
-    fn into_error(self) -> ServiceError {
-        ServiceError::WorkerCrashed {
-            worker: self.worker,
-            cause: self.cause,
+    /// The crash, when it was a scheduled recoverable injection on a
+    /// journaled worker; anything else is fatal for the run.
+    fn recoverable(self, journaled: bool) -> Result<InjectedCrash, ServiceError> {
+        match self.injected {
+            Some(crash) if crash.recoverable && journaled => Ok(crash),
+            _ => Err(ServiceError::WorkerCrashed {
+                worker: self.worker,
+                cause: self.cause,
+            }),
         }
     }
 }
 
+/// One worker's lanes: the batch channel the router feeds, the channel its
+/// drained buffers come back on, and its join handle (taken once joined).
+struct Lane<'scope> {
+    tx: Sender<Vec<Request>>,
+    recycle: Receiver<Vec<Request>>,
+    handle: Option<ScopedJoinHandle<'scope, Result<WorkerOutput, CrashNote>>>,
+}
+
 /// The supervisor's mutable view of the worker fleet.
-struct Supervisor<'scope> {
-    txs: Vec<Sender<Vec<Request>>>,
-    recycles: Vec<Receiver<Vec<Request>>>,
-    handles: Vec<Option<ScopedJoinHandle<'scope, Result<WorkerOutput, CrashNote>>>>,
+struct Supervisor<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    env: &'scope RunEnv,
+    lanes: Vec<Lane<'scope>>,
     /// Per worker: every request successfully delivered so far, in FIFO
     /// order (empty for non-journaled workers).
     journals: Vec<Vec<Request>>,
@@ -201,17 +217,17 @@ struct Supervisor<'scope> {
     recorder: Option<FlightRecorder>,
 }
 
-impl<'scope> Supervisor<'scope> {
+impl<'scope, 'env> Supervisor<'scope, 'env> {
     /// Spawns the initial fleet.
-    fn launch<'env>(
+    fn launch(
         scope: &'scope Scope<'scope, 'env>,
-        env: &RunEnv,
+        env: &'scope RunEnv,
         owned: Vec<Vec<Box<dyn Directory>>>,
     ) -> Self {
         let mut sup = Supervisor {
-            txs: Vec::with_capacity(env.workers),
-            recycles: Vec::with_capacity(env.workers),
-            handles: Vec::with_capacity(env.workers),
+            scope,
+            env,
+            lanes: Vec::with_capacity(env.workers),
             journals: (0..env.workers).map(|_| Vec::new()).collect(),
             fired: vec![0; env.workers],
             gate: env.plan.as_ref().and_then(FaultPlan::shed_gate),
@@ -224,28 +240,42 @@ impl<'scope> Supervisor<'scope> {
                 .map(|cfg| FlightRecorder::new(cfg.ring(), cfg.spans())),
         };
         for (index, slices) in owned.into_iter().enumerate() {
-            let hooks = env.plan.as_ref().and_then(|p| p.arm(index, 0));
-            let mut output = WorkerOutput::new(index, slices);
-            output.arm_obs(env.obs.as_ref());
-            let (tx, recycle_rx, handle) = spawn_worker(scope, env, output, hooks);
-            sup.txs.push(tx);
-            sup.recycles.push(recycle_rx);
-            sup.handles.push(Some(handle));
+            let lane = sup.spawn(WorkerOutput::new(index, slices, env.obs.as_ref()));
+            sup.lanes.push(lane);
         }
         sup
+    }
+
+    /// Spawns one supervised worker that continues from `output`, with the
+    /// crash points it has not yet fired armed.  The worker's entire body —
+    /// including its [`Receiver`] — lives inside a `catch_unwind`, so an
+    /// unwinding panic drops the receiver (failing the router's next send:
+    /// that is the crash *detection* path) and surfaces as an orderly
+    /// `Err(CrashNote)` through `join` (the crash *classification* path),
+    /// never as a process abort.
+    fn spawn(&self, output: WorkerOutput) -> Lane<'scope> {
+        let env = self.env;
+        let hooks = env.hooks(output.index, self.fired[output.index]);
+        let (tx, rx) = bounded::<Vec<Request>>(env.queue_depth);
+        // One spare slot beyond the queue depth so a worker's non-blocking
+        // buffer return almost never drops a buffer.
+        let (recycle_tx, recycle) = bounded::<Vec<Request>>(env.queue_depth + 1);
+        let handle = self
+            .scope
+            .spawn(move || drive_worker(output, env, rx, recycle_tx, hooks));
+        Lane {
+            tx,
+            recycle,
+            handle: Some(handle),
+        }
     }
 
     /// Delivers one admitted batch to `owner`, riding out stalls (bounded
     /// backoff), shedding (counted, re-offered) and crashes (recover, then
     /// re-offer).  On success the batch — journaled if the owner is — is
     /// in the owner's queue.
-    fn deliver<'env>(
-        &mut self,
-        scope: &'scope Scope<'scope, 'env>,
-        env: &RunEnv,
-        owner: usize,
-        batch: Vec<Request>,
-    ) -> Result<(), ServiceError> {
+    fn deliver(&mut self, owner: usize, batch: Vec<Request>) -> Result<(), ServiceError> {
+        let journaled = self.env.journaled[owner];
         // Virtual time of every router-side event for this batch: its
         // first request's sequence number.
         let vtime = batch.first().map_or(0, |request| request.seq);
@@ -261,13 +291,16 @@ impl<'scope> Supervisor<'scope> {
                 }
             }
         }
-        if env.journaled[owner] {
+        if journaled {
             self.journals[owner].extend_from_slice(&batch);
         }
         let mut pending = batch;
         let mut backoff = Backoff::new(SEND_BACKOFF_START, SEND_BACKOFF_MAX);
         loop {
-            match self.txs[owner].send_timeout(pending, backoff.next_ticks()) {
+            match self.lanes[owner]
+                .tx
+                .send_timeout(pending, backoff.next_ticks())
+            {
                 Ok(()) => {
                     self.record_event(EventKind::BatchRouted, owner, vtime, len);
                     return Ok(());
@@ -281,15 +314,17 @@ impl<'scope> Supervisor<'scope> {
                 Err(SendTimeoutError::Disconnected(batch)) => {
                     // This batch was never delivered: roll it back out of
                     // the journal so recovery does not replay it…
-                    if env.journaled[owner] {
+                    if journaled {
                         let keep = self.journals[owner].len().saturating_sub(batch.len());
                         self.journals[owner].truncate(keep);
                     }
-                    self.recover(scope, env, owner)?;
+                    let note = self.join_corpse(owner);
+                    let output = self.revive(owner, note)?;
+                    self.lanes[owner] = self.spawn(output);
                     // …then re-journal and re-offer it to the replacement
                     // on a fresh backoff schedule.  No new gate draw: the
                     // batch was already admitted.
-                    if env.journaled[owner] {
+                    if journaled {
                         self.journals[owner].extend_from_slice(&batch);
                     }
                     pending = batch;
@@ -306,73 +341,41 @@ impl<'scope> Supervisor<'scope> {
         }
     }
 
-    /// Handles a detected crash of `owner`: joins the corpse, classifies
-    /// the panic, and — when it was a scheduled recoverable injection on a
-    /// journaled worker — rebuilds the worker's shards by replay and
-    /// respawns it.  Anything else is fatal for the run.
-    fn recover<'env>(
-        &mut self,
-        scope: &'scope Scope<'scope, 'env>,
-        env: &RunEnv,
-        owner: usize,
-    ) -> Result<(), ServiceError> {
-        let note = self.join_corpse(owner);
-        let crash = match note.injected {
-            Some(crash) if crash.recoverable && env.journaled[owner] => crash,
-            _ => return Err(note.into_error()),
-        };
-        self.fired[owner] += 1;
-        self.recoveries += 1;
-        self.record_event(EventKind::Crash, owner, crash.seq, self.fired[owner] as u64);
-        let output = self.replay(env, owner)?;
-        self.record_event(
-            EventKind::Recovery,
-            owner,
-            crash.seq,
-            self.fired[owner] as u64,
-        );
-        let hooks = env
-            .plan
-            .as_ref()
-            .and_then(|p| p.arm(owner, self.fired[owner]));
-        let (tx, recycle_rx, handle) = spawn_worker(scope, env, output, hooks);
-        self.txs[owner] = tx;
-        self.recycles[owner] = recycle_rx;
-        self.handles[owner] = Some(handle);
-        Ok(())
-    }
-
-    /// Rebuilds `owner`'s state by replaying its journal onto fresh
-    /// shards, looping while armed crash points keep firing mid-replay.
-    /// Terminates: every iteration either completes, fails, or advances
-    /// `fired` (bounded by the plan's crash-point count).
-    fn replay(&mut self, env: &RunEnv, owner: usize) -> Result<WorkerOutput, ServiceError> {
-        let replayed = self.journals[owner].len() as u64;
-        let vtime = self.journals[owner].last().map_or(0, |request| request.seq);
+    /// The one crash path: when `owner`'s crash was a scheduled recoverable
+    /// injection on a journaled worker, counts it and rebuilds the worker's
+    /// state by replaying its journal onto fresh shards, rebuilding again
+    /// each time a remaining crash point fires mid-replay.  Terminates:
+    /// every round either completes, fails, or advances `fired` (bounded by
+    /// the plan's crash-point count).  Anything else is fatal for the run.
+    fn revive(&mut self, owner: usize, note: CrashNote) -> Result<WorkerOutput, ServiceError> {
+        let env = self.env;
+        let first = note.recoverable(env.journaled[owner])?;
+        let mut crash = first;
         loop {
-            let slices = env.rebuild_slices(owner)?;
-            let hooks = env
-                .plan
-                .as_ref()
-                .and_then(|p| p.arm(owner, self.fired[owner]));
-            match replay_journal(owner, slices, &self.journals[owner], env, hooks) {
+            self.fired[owner] += 1;
+            self.recoveries += 1;
+            self.record_event(EventKind::Crash, owner, crash.seq, self.fired[owner] as u64);
+            let mut output = env.rebuild(owner)?;
+            let hooks = env.hooks(owner, self.fired[owner]);
+            let journal = &self.journals[owner];
+            let replayed = supervised(owner, move || {
+                let mut out = Outcome::new();
+                for batch in journal.chunks(env.batch) {
+                    run_batch(&mut output, batch, env, hooks.as_ref(), &mut out);
+                }
+                output
+            });
+            match replayed {
                 Ok(output) => {
-                    self.record_event(EventKind::JournalReplay, owner, vtime, replayed);
+                    let journal = &self.journals[owner];
+                    let vtime = journal.last().map_or(0, |request| request.seq);
+                    let len = journal.len() as u64;
+                    self.record_event(EventKind::JournalReplay, owner, vtime, len);
+                    let fired = self.fired[owner] as u64;
+                    self.record_event(EventKind::Recovery, owner, first.seq, fired);
                     return Ok(output);
                 }
-                Err(note) => match note.injected {
-                    Some(crash) if crash.recoverable => {
-                        self.fired[owner] += 1;
-                        self.recoveries += 1;
-                        self.record_event(
-                            EventKind::Crash,
-                            owner,
-                            crash.seq,
-                            self.fired[owner] as u64,
-                        );
-                    }
-                    _ => return Err(note.into_error()),
-                },
+                Err(note) => crash = note.recoverable(env.journaled[owner])?,
             }
         }
     }
@@ -380,7 +383,7 @@ impl<'scope> Supervisor<'scope> {
     /// Joins a worker whose channel disconnected and distills its crash
     /// note.
     fn join_corpse(&mut self, owner: usize) -> CrashNote {
-        let Some(handle) = self.handles[owner].take() else {
+        let Some(handle) = self.lanes[owner].handle.take() else {
             return CrashNote {
                 worker: owner,
                 cause: "supervisor lost the worker's join handle".to_string(),
@@ -406,8 +409,8 @@ impl<'scope> Supervisor<'scope> {
     /// their backlogs and exit promptly instead of draining results the
     /// failed run will never report.
     fn abort(&self) {
-        for tx in &self.txs {
-            tx.shutdown();
+        for lane in &self.lanes {
+            lane.tx.shutdown();
         }
     }
 
@@ -415,49 +418,26 @@ impl<'scope> Supervisor<'scope> {
     /// recovering workers that crashed after their last delivery: with the
     /// stream over, their full journals *are* their final state, so replay
     /// alone finishes the job — no respawn.
-    fn join_all(mut self, env: &RunEnv) -> Result<JoinedFleet, ServiceError> {
-        self.txs.clear();
-        let mut outputs = Vec::with_capacity(env.workers);
-        for owner in 0..env.workers {
-            let Some(handle) = self.handles[owner].take() else {
+    fn join_all(mut self) -> Result<JoinedFleet, ServiceError> {
+        let handles: Vec<_> = self.lanes.drain(..).map(|lane| lane.handle).collect();
+        let mut outputs = Vec::with_capacity(handles.len());
+        for (owner, handle) in handles.into_iter().enumerate() {
+            let Some(handle) = handle else {
                 continue;
             };
-            let note = match handle.join() {
-                Ok(Ok(output)) => {
-                    outputs.push(output);
-                    continue;
-                }
-                Ok(Err(note)) => note,
-                Err(payload) => CrashNote::new(owner, payload),
+            let output = match handle.join() {
+                Ok(Ok(output)) => output,
+                Ok(Err(note)) => self.revive(owner, note)?,
+                Err(payload) => self.revive(owner, CrashNote::new(owner, payload))?,
             };
-            let crash = match note.injected {
-                Some(crash) if crash.recoverable && env.journaled[owner] => crash,
-                _ => {
-                    self.abort();
-                    return Err(note.into_error());
-                }
-            };
-            self.fired[owner] += 1;
-            self.recoveries += 1;
-            self.record_event(EventKind::Crash, owner, crash.seq, self.fired[owner] as u64);
-            match self.replay(env, owner) {
-                Ok(output) => {
-                    self.record_event(
-                        EventKind::Recovery,
-                        owner,
-                        crash.seq,
-                        self.fired[owner] as u64,
-                    );
-                    outputs.push(output);
-                }
-                Err(err) => {
-                    self.abort();
-                    return Err(err);
-                }
-            }
+            outputs.push(output);
         }
-        let recording = self.recorder.as_ref().map(FlightRecorder::finish);
-        Ok((outputs, self.shed, self.recoveries, recording))
+        Ok(JoinedFleet {
+            outputs,
+            shed: self.shed,
+            recoveries: self.recoveries,
+            router: self.recorder.as_ref().map(FlightRecorder::finish),
+        })
     }
 }
 
@@ -469,7 +449,6 @@ pub(crate) fn run_concurrent(
     let workers = service.config.workers;
     let shards = service.config.shards;
     let batch = service.config.batch;
-    let record = service.config.record_outcomes;
     let plan = service.config.fault_plan.clone().filter(|p| !p.is_noop());
     if plan.as_ref().is_some_and(|p| !p.crashes().is_empty()) {
         silence_injected_panics();
@@ -489,7 +468,7 @@ pub(crate) fn run_concurrent(
         shards,
         batch,
         queue_depth: service.config.queue_depth,
-        record,
+        record: service.config.record_outcomes,
         resize: service.config.resize_policy.clone(),
         obs: service.obs.clone(),
     };
@@ -502,7 +481,7 @@ pub(crate) fn run_concurrent(
         owned[global % workers].push(slice);
     }
 
-    let (outputs, shed, recoveries, router_recording) = std::thread::scope(|scope| {
+    let fleet = std::thread::scope(|scope| {
         let mut sup = Supervisor::launch(scope, &env, owned);
 
         // The router: stamp, route, batch, deliver (with backpressure
@@ -511,7 +490,7 @@ pub(crate) fn run_concurrent(
             (0..workers).map(|_| Vec::with_capacity(batch)).collect();
         let routed = (|| -> Result<(), ServiceError> {
             for (seq, op) in ops.enumerate() {
-                let (shard, local) = DirectoryService::route(shards as u64, op.line());
+                let (shard, local) = interleave(shards, op.line());
                 let owner = shard % workers;
                 staging[owner].push(Request {
                     seq: seq as u64,
@@ -519,16 +498,17 @@ pub(crate) fn run_concurrent(
                     op: op.with_line(local),
                 });
                 if staging[owner].len() == batch {
-                    let fresh = sup.recycles[owner]
+                    let fresh = sup.lanes[owner]
+                        .recycle
                         .try_recv()
                         .unwrap_or_else(|| Vec::with_capacity(batch));
                     let full = std::mem::replace(&mut staging[owner], fresh);
-                    sup.deliver(scope, &env, owner, full)?;
+                    sup.deliver(owner, full)?;
                 }
             }
             for (owner, slot) in staging.drain(..).enumerate() {
                 if !slot.is_empty() {
-                    sup.deliver(scope, &env, owner, slot)?;
+                    sup.deliver(owner, slot)?;
                 }
             }
             Ok(())
@@ -537,264 +517,112 @@ pub(crate) fn run_concurrent(
             sup.abort();
             return Err(err);
         }
-        sup.join_all(&env)
+        sup.join_all()
     })?;
 
     Ok(finish(
         organization,
         shards,
-        workers,
-        outputs,
-        record,
-        shed,
-        recoveries,
+        fleet,
+        env.record,
         env.obs.as_ref(),
-        router_recording,
     ))
 }
 
-/// Spawns one supervised worker.  The worker's entire body — including its
-/// [`Receiver`] — lives inside a `catch_unwind`, so an unwinding panic
-/// drops the receiver (failing the router's next send: that is the crash
-/// *detection* path) and surfaces as an orderly `Err(CrashNote)` through
-/// `join` (the crash *classification* path), never as a process abort.
-type WorkerLanes<'scope> = (
-    Sender<Vec<Request>>,
-    Receiver<Vec<Request>>,
-    ScopedJoinHandle<'scope, Result<WorkerOutput, CrashNote>>,
-);
-
-fn spawn_worker<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    env: &RunEnv,
-    output: WorkerOutput,
-    hooks: Option<WorkerFaults>,
-) -> WorkerLanes<'scope> {
-    let (tx, rx) = bounded::<Vec<Request>>(env.queue_depth);
-    // One spare slot beyond the queue depth so a worker's non-blocking
-    // buffer return almost never drops a buffer.
-    let (recycle_tx, recycle_rx) = bounded::<Vec<Request>>(env.queue_depth + 1);
-    let workers = env.workers;
-    let record = env.record;
-    let resize = env.resize.clone();
-    let handle =
-        scope.spawn(move || drive_worker(output, workers, rx, recycle_tx, record, hooks, resize));
-    (tx, recycle_rx, handle)
+/// Runs a worker body under `catch_unwind`, distilling a panic into the
+/// worker's crash note.
+fn supervised(
+    worker: usize,
+    body: impl FnOnce() -> WorkerOutput,
+) -> Result<WorkerOutput, CrashNote> {
+    catch_unwind(AssertUnwindSafe(body)).map_err(|payload| CrashNote::new(worker, payload))
 }
 
-/// One worker's supervised drain loop: receive a batch, fire any scheduled
-/// fault, apply the batch through the batched fast path, account the
-/// outcomes, return the buffer, repeat until the ingestion side hangs up
-/// or shuts down.
+/// One live worker's drain loop: receive a batch, sit out any scheduled
+/// stall, run the batch, return the buffer, repeat until the ingestion
+/// side hangs up or shuts down.
 fn drive_worker(
-    output: WorkerOutput,
-    workers: usize,
+    mut output: WorkerOutput,
+    env: &RunEnv,
     rx: Receiver<Vec<Request>>,
     recycle_tx: Sender<Vec<Request>>,
-    record: bool,
     hooks: Option<WorkerFaults>,
-    resize: Option<ResizePolicy>,
 ) -> Result<WorkerOutput, CrashNote> {
-    let worker = output.index;
-    catch_unwind(AssertUnwindSafe(move || {
-        let mut output = output;
+    supervised(output.index, move || {
         let mut out = Outcome::new();
-        let mut ops_buf: Vec<DirectoryOp> = Vec::new();
-        let resize = resize.as_ref();
         // Both a natural end of stream (Disconnected) and a supervisor
         // abort (Shutdown) end the loop; the distinction matters to the
         // supervisor, not to the worker.
         while let Ok(mut requests) = rx.recv() {
-            output.batches += 1;
-            output.batch_span_begin(&requests);
             if let Some(hooks) = hooks.as_ref() {
                 hooks.stall();
-                if let Some((cut, point)) = hooks.crash_cut(requests.iter().map(|r| r.seq)) {
-                    // Apply the prefix normally, then die exactly where
-                    // the plan says — before the first request with
-                    // `seq >= the trigger`.
-                    apply_requests(
-                        &mut output,
-                        &requests[..cut],
-                        workers,
-                        record,
-                        resize,
-                        &mut out,
-                        &mut ops_buf,
-                    );
-                    InjectedCrash {
-                        worker: output.index,
-                        seq: requests[cut].seq,
-                        recoverable: point.recoverable,
-                    }
-                    .fire();
-                }
             }
-            apply_requests(
-                &mut output,
-                &requests,
-                workers,
-                record,
-                resize,
-                &mut out,
-                &mut ops_buf,
-            );
-            output.batch_applied(&requests);
+            run_batch(&mut output, &requests, env, hooks.as_ref(), &mut out);
             requests.clear();
             // Non-blocking buffer return; on a full recycle ring the
             // buffer is simply dropped and the router allocates fresh.
             let _ = recycle_tx.try_send(requests);
         }
         output
-    }))
-    .map_err(|payload| CrashNote::new(worker, payload))
+    })
 }
 
-/// Replays a journal onto fresh slices, producing the `WorkerOutput` the
-/// dead worker would have accumulated had it applied exactly these
-/// requests.  Remaining crash points stay armed (see the module docs);
-/// stalls do not.
-fn replay_journal(
-    worker: usize,
-    slices: Vec<Box<dyn Directory>>,
-    journal: &[Request],
+/// The per-batch step live workers and journal replay share: count the
+/// batch, open its span, fire a scheduled crash point that falls inside it,
+/// apply it, close the span.
+fn run_batch(
+    output: &mut WorkerOutput,
+    requests: &[Request],
     env: &RunEnv,
-    hooks: Option<WorkerFaults>,
-) -> Result<WorkerOutput, CrashNote> {
-    let workers = env.workers;
-    let record = env.record;
-    let batch = env.batch.max(1);
-    let resize = env.resize.as_ref();
-    let obs = env.obs.as_ref();
-    catch_unwind(AssertUnwindSafe(move || {
-        let mut output = WorkerOutput::new(worker, slices);
-        output.arm_obs(obs);
-        let mut out = Outcome::new();
-        let mut ops_buf: Vec<DirectoryOp> = Vec::new();
-        for chunk in journal.chunks(batch) {
-            output.batches += 1;
-            output.batch_span_begin(chunk);
-            if let Some(hooks) = hooks.as_ref() {
-                if let Some((cut, point)) = hooks.crash_cut(chunk.iter().map(|r| r.seq)) {
-                    apply_requests(
-                        &mut output,
-                        &chunk[..cut],
-                        workers,
-                        record,
-                        resize,
-                        &mut out,
-                        &mut ops_buf,
-                    );
-                    InjectedCrash {
-                        worker,
-                        seq: chunk[cut].seq,
-                        recoverable: point.recoverable,
-                    }
-                    .fire();
-                }
-            }
-            apply_requests(
-                &mut output,
-                chunk,
-                workers,
-                record,
-                resize,
-                &mut out,
-                &mut ops_buf,
-            );
-            output.batch_applied(chunk);
+    hooks: Option<&WorkerFaults>,
+    out: &mut Outcome,
+) {
+    output.batches += 1;
+    output.batch_span_begin(requests);
+    if let Some((cut, point)) =
+        hooks.and_then(|hooks| hooks.crash_cut(requests.iter().map(|r| r.seq)))
+    {
+        // Apply the prefix normally, then die exactly where the plan says
+        // — before the first request with `seq >= the trigger`.
+        apply_requests(output, &requests[..cut], env, out);
+        InjectedCrash {
+            worker: output.index,
+            seq: requests[cut].seq,
+            recoverable: point.recoverable,
         }
-        output
-    }))
-    .map_err(|payload| CrashNote::new(worker, payload))
+        .fire();
+    }
+    apply_requests(output, requests, env, out);
+    output.batch_applied(requests);
 }
 
-/// The shared batch-application kernel: exactly this code runs in live
-/// workers and in recovery replay, which is half of the digest-identity
-/// argument (the other half is the journal being the worker's exact
-/// delivered subsequence).
+/// The batch kernel, and the only place service traffic reaches
+/// [`Directory::apply`] on a worker.  Per window of [`APPLY_BATCH_WINDOW`]
+/// requests it prefetches every request's line on its own shard, so the
+/// window's cache misses overlap, then applies each request, absorbs its
+/// outcome and, with a resize policy armed, counts it towards its shard's
+/// resize epoch — the same apply → absorb → count order as the serial
+/// reference.
 fn apply_requests(
     output: &mut WorkerOutput,
     requests: &[Request],
-    workers: usize,
-    record: bool,
-    resize: Option<&ResizePolicy>,
+    env: &RunEnv,
     out: &mut Outcome,
-    ops_buf: &mut Vec<DirectoryOp>,
 ) {
+    let (record, resize) = (env.record, env.resize.as_ref());
     output.applied += requests.len() as u64;
-    if let Some(policy) = resize {
-        // With a resize policy armed, a shard may change geometry between
-        // any two requests, so every batch goes through the per-request
-        // windowed path (semantically identical to `apply_batch` by the
-        // directories' own batching contract) with the epoch check after
-        // each absorb — the same apply → absorb → count order as the
-        // serial reference.
-        let index = output.index as u32;
-        let mut start = 0;
-        while start < requests.len() {
-            let end = (start + APPLY_BATCH_WINDOW).min(requests.len());
-            for request in &requests[start..end] {
-                output.slices[request.shard as usize].prefetch_line(request.op.line());
-            }
-            for request in &requests[start..end] {
-                let shard = request.shard as usize;
-                output.slices[shard].apply(request.op, out);
-                let global_shard = request.shard * workers as u32 + index;
-                absorb_into(
-                    &mut output.digests[shard],
-                    &mut output.invalidations,
-                    &mut output.forced_invalidations,
-                    request.seq,
-                    out,
-                    record,
-                );
+    for window in requests.chunks(APPLY_BATCH_WINDOW) {
+        for request in window {
+            output.slices[request.shard as usize].prefetch_line(request.op.line());
+        }
+        for request in window {
+            let shard = request.shard as usize;
+            output.slices[shard].apply(request.op, out);
+            output.absorb(shard, request.seq, out, record);
+            if let Some(policy) = resize {
+                let global_shard = request.shard * env.workers as u32 + output.index as u32;
                 maybe_resize(output, shard, global_shard, policy);
             }
-            start = end;
-        }
-        return;
-    }
-    if output.slices.len() == 1 {
-        // Single owned shard: the whole batch targets it, so the
-        // organization's own (possibly overridden) batched fast path
-        // applies directly.
-        ops_buf.clear();
-        ops_buf.extend(requests.iter().map(|r| r.op));
-        let mut at = 0usize;
-        let (slices, digest) = (&mut output.slices, &mut output.digests[0]);
-        let (invalidations, forced) = (&mut output.invalidations, &mut output.forced_invalidations);
-        let mut absorb = |_op: &DirectoryOp, out: &Outcome| {
-            let seq = requests[at].seq;
-            at += 1;
-            // The closure borrows the accounting fields disjointly from
-            // the mutably borrowed slice.
-            absorb_into(digest, invalidations, forced, seq, out, record);
-        };
-        slices[0].apply_batch(ops_buf, out, &mut absorb);
-    } else {
-        // Multiple shards: same window discipline as the default
-        // `apply_batch`, with each request prefetching and applying on its
-        // own shard.
-        let mut start = 0;
-        while start < requests.len() {
-            let end = (start + APPLY_BATCH_WINDOW).min(requests.len());
-            for request in &requests[start..end] {
-                output.slices[request.shard as usize].prefetch_line(request.op.line());
-            }
-            for request in &requests[start..end] {
-                let shard = request.shard as usize;
-                output.slices[shard].apply(request.op, out);
-                absorb_into(
-                    &mut output.digests[shard],
-                    &mut output.invalidations,
-                    &mut output.forced_invalidations,
-                    request.seq,
-                    out,
-                    record,
-                );
-            }
-            start = end;
         }
     }
 }

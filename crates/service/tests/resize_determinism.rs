@@ -122,24 +122,33 @@ fn resizes_refire_identically_through_journal_replay() {
     // Worker 1 (owning shards 1 and 3) crashes at seq 2000 — well after
     // its shards' resizes fired, so the replay must re-fire them to
     // rebuild identical state.  A second crash point lands inside the
-    // journaled range and fires *during* replay.
-    let config = ServiceConfig::new("cuckoo-4x256-c8", 4, 2)
-        .with_batch(64)
-        .with_resize_spec(POLICY)
-        .unwrap()
-        .with_fault_spec("faults-crash@w1:2000-crash@w1:1500")
-        .unwrap();
-    let report = DirectoryService::build_standard(config)
-        .unwrap()
-        .run(stream.iter().copied())
-        .unwrap();
-    assert!(report.stats.recoveries.get() >= 2);
-    assert_eq!(
-        report.stats.resizes.get(),
-        4,
-        "replay rebuilds from scratch; resizes must not double-count"
-    );
-    assert_eq!(report.recovery_semantics(), serial.recovery_semantics());
+    // journaled range and fires *during* replay.  Where live delivery and
+    // replay cut the stream into batches must not matter: 7 and 9 straddle
+    // the kernel's 8-request prefetch window, and 1 puts every request in
+    // a batch of its own.
+    for batch in [1, 7, 9, 64] {
+        let config = ServiceConfig::new("cuckoo-4x256-c8", 4, 2)
+            .with_batch(batch)
+            .with_resize_spec(POLICY)
+            .unwrap()
+            .with_fault_spec("faults-crash@w1:2000-crash@w1:1500")
+            .unwrap();
+        let report = DirectoryService::build_standard(config)
+            .unwrap()
+            .run(stream.iter().copied())
+            .unwrap();
+        assert!(report.stats.recoveries.get() >= 2, "batch {batch}");
+        assert_eq!(
+            report.stats.resizes.get(),
+            4,
+            "batch {batch}: replay rebuilds from scratch; resizes must not double-count"
+        );
+        assert_eq!(
+            report.recovery_semantics(),
+            serial.recovery_semantics(),
+            "batch {batch}"
+        );
+    }
 }
 
 #[test]
